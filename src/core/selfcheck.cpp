@@ -317,6 +317,26 @@ std::string oracle_export_replay(const ScannedWorld& w,
     return std::string(kOracleNames[4]) +
            ": program changed across write/read round-trip";
   }
+  // Every expected cell must equal a scalar good-machine trace, X included:
+  // the replay below treats X as don't-care on either side, so it cannot see
+  // an export that wrote X where the good machine is binary.
+  {
+    const BoundTestProgram b = bind_test_program(nl, q);
+    SeqSim sim(*w.lv);
+    for (std::size_t t = 0; t < b.stimulus.size(); ++t) {
+      const auto& v = sim.step(b.stimulus[t]);
+      for (std::size_t o = 0; o < b.observe.size(); ++o) {
+        const Val want = v[b.observe[o]];
+        const Val got = (*b.expected)[t][o];
+        if (got != want) {
+          return std::string(kOracleNames[4]) + ": cycle " +
+                 std::to_string(t) + " net " + q.observe_names[o] +
+                 " exported '" + val_char(got) + "', scalar trace gives '" +
+                 val_char(want) + "'";
+        }
+      }
+    }
+  }
   if (const std::size_t mm = run_test_program(*w.lv, q); mm != 0) {
     return std::string(kOracleNames[4]) + ": fault-free replay reports " +
            std::to_string(mm) + " strobe mismatches";

@@ -1,6 +1,8 @@
 #include "core/test_export.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -8,6 +10,7 @@
 
 #include "scan/scan_sequences.h"
 #include "sim/seq_sim.h"
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 namespace {
@@ -25,10 +28,114 @@ std::vector<std::string> split_ws(const std::string& s) {
   return out;
 }
 
+// Good-machine strobes of `stim` played from power-up, written into
+// `expected`.  `first` holds the first row of every segment (ascending, no
+// empty segments).  Segment s runs in lane s % 64 of a 64-lane block; blocks
+// run in order.  Within a block, every pass sweeps the lanes from their
+// current start states, then lane l + 1 restarts from the end state lane l
+// just reached, until no start state changes.  Lane 0 starts from the true
+// state (power-up, or the previous block's last end), so by induction every
+// lane starts from its true state at the fixed point and its rows equal the
+// flat sequential trace.  A pass whose first changed lane is f sweeps only
+// as far as the longest segment from f on: lanes below f already started
+// from their true states, and each pass makes at least one more lane start
+// from its true state, so a block costs at most its lane count in passes.
+// A scan load settles the state, so two passes are the usual case.
+void trace_segments(const Levelizer& lv, const TestSequence& stim,
+                    const std::vector<std::size_t>& first,
+                    const std::vector<NodeId>& observe,
+                    std::vector<std::vector<Val>>& expected) {
+  using W = WideVal<1>;
+  constexpr std::size_t kLanes = W::kLanes;
+  WideSeqSim<1> sim(SoaCircuit::compile(lv));
+  const SoaCircuit& c = sim.circuit();
+  const std::size_t npi = c.inputs().size();
+  const std::size_t nff = c.dffs().size();
+  const std::size_t nobs = observe.size();
+  std::vector<Val> carry(nff, Val::X);  // true end state of the last block
+  std::vector<W> start(nff), end(nff), pis, strobes;
+  std::vector<std::uint64_t> ends_at;   // per cycle: lanes ending there
+  for (std::size_t b = 0; b < first.size(); b += kLanes) {
+    const std::size_t n = std::min(kLanes, first.size() - b);
+    std::size_t row0[kLanes] = {}, len[kLanes] = {}, longest = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+      row0[l] = first[b + l];
+      len[l] = (b + l + 1 < first.size() ? first[b + l + 1] : stim.size()) -
+               row0[l];
+      longest = std::max(longest, len[l]);
+    }
+    pis.assign(longest * npi, W::broadcast(Val::X));
+    ends_at.assign(longest, 0);
+    for (std::size_t l = 0; l < n; ++l) {
+      for (std::size_t t = 0; t < len[l]; ++t) {
+        const std::vector<Val>& row = stim[row0[l] + t];
+        if (row.size() != npi) {
+          throw std::invalid_argument(
+              "make_test_program: PI vector size mismatch");
+        }
+        for (std::size_t i = 0; i < npi; ++i) {
+          pis[t * npi + i].set(static_cast<unsigned>(l), row[i]);
+        }
+      }
+      ends_at[len[l] - 1] |= 1ull << l;
+    }
+    strobes.resize(longest * nobs);
+    for (std::size_t i = 0; i < nff; ++i) {
+      start[i] = W::broadcast(Val::X);
+      start[i].set(0, carry[i]);
+      end[i] = W::broadcast(Val::X);
+    }
+    const std::uint64_t used = n == kLanes ? ~0ull : (1ull << n) - 1;
+    std::size_t from = 0;  // first lane whose start changed
+    for (;;) {
+      std::size_t sweep = 0;
+      for (std::size_t l = from; l < n; ++l) sweep = std::max(sweep, len[l]);
+      sim.set_state(start);
+      for (std::size_t t = 0; t < sweep; ++t) {
+        const WideSim<1>& v =
+            sim.step(std::span<const W>(pis.data() + t * npi, npi));
+        for (std::size_t o = 0; o < nobs; ++o) {
+          strobes[t * nobs + o] = v.value(observe[o]);
+        }
+        if (const std::uint64_t m = ends_at[t]) {
+          for (std::size_t i = 0; i < nff; ++i) {
+            const W& s = sim.state()[i];
+            end[i].zero[0] = (end[i].zero[0] & ~m) | (s.zero[0] & m);
+            end[i].one[0] = (end[i].one[0] & ~m) | (s.one[0] & m);
+          }
+        }
+      }
+      std::uint64_t changed = 0;
+      for (std::size_t i = 0; i < nff; ++i) {
+        const std::uint64_t z = (end[i].zero[0] << 1) | (start[i].zero[0] & 1);
+        const std::uint64_t o = (end[i].one[0] << 1) | (start[i].one[0] & 1);
+        changed |= (z ^ start[i].zero[0]) | (o ^ start[i].one[0]);
+        start[i].zero[0] = z;
+        start[i].one[0] = o;
+      }
+      changed &= used;
+      if (changed == 0) break;
+      from = static_cast<std::size_t>(std::countr_zero(changed));
+    }
+    for (std::size_t l = 0; l < n; ++l) {
+      for (std::size_t t = 0; t < len[l]; ++t) {
+        std::vector<Val>& row = expected[row0[l] + t];
+        row.resize(nobs);
+        for (std::size_t o = 0; o < nobs; ++o) {
+          row[o] = strobes[t * nobs + o].at(static_cast<unsigned>(l));
+        }
+      }
+    }
+    for (std::size_t i = 0; i < nff; ++i) {
+      carry[i] = end[i].at(static_cast<unsigned>(n - 1));
+    }
+  }
+}
+
 }  // namespace
 
 TestProgram make_test_program(const ScanModeModel& model,
-                              TestSequence stimulus,
+                              std::vector<TestSequence> segments,
                               std::vector<NodeId> observe) {
   const Levelizer& lv = model.levelizer();
   const Netlist& nl = lv.netlist();
@@ -44,17 +151,17 @@ TestProgram make_test_program(const ScanModeModel& model,
   p.circuit = nl.name();
   for (NodeId pi : nl.inputs()) p.input_names.push_back(nl.node_name(pi));
   for (NodeId o : observe) p.observe_names.push_back(nl.node_name(o));
-  p.stimulus = std::move(stimulus);
-
-  SeqSim sim(lv);
-  p.expected.reserve(p.stimulus.size());
-  for (const auto& pi : p.stimulus) {
-    const auto& v = sim.step(pi);
-    std::vector<Val> row;
-    row.reserve(observe.size());
-    for (NodeId o : observe) row.push_back(v[o]);
-    p.expected.push_back(std::move(row));
+  std::size_t cycles = 0;
+  for (const TestSequence& seg : segments) cycles += seg.size();
+  p.stimulus.reserve(cycles);
+  std::vector<std::size_t> first;
+  for (TestSequence& seg : segments) {
+    if (seg.empty()) continue;
+    first.push_back(p.stimulus.size());
+    std::move(seg.begin(), seg.end(), std::back_inserter(p.stimulus));
   }
+  p.expected.resize(p.stimulus.size());
+  trace_segments(lv, p.stimulus, first, observe, p.expected);
   return p;
 }
 
@@ -232,16 +339,15 @@ TestProgram make_chain_test_program(const ScanModeModel& model,
   const ScanSequenceBuilder sb(nl, model.design());
   const std::size_t maxlen = model.max_chain_length();
 
-  TestSequence stimulus = sb.alternating(2 * maxlen + 8);
+  std::vector<TestSequence> segments;
+  segments.reserve(1 + result.vectors.size() + result.s3_sequences.size());
+  segments.push_back(sb.alternating(2 * maxlen + 8));
   for (const ScanVector& v : result.vectors) {
-    const TestSequence seq =
-        sb.apply_comb_vector(v.ff_state, v.pi_vals, maxlen + 2);
-    stimulus.insert(stimulus.end(), seq.begin(), seq.end());
+    segments.push_back(sb.apply_comb_vector(v.ff_state, v.pi_vals, maxlen + 2));
   }
-  for (const TestSequence& seq : result.s3_sequences) {
-    stimulus.insert(stimulus.end(), seq.begin(), seq.end());
-  }
-  return make_test_program(model, std::move(stimulus));
+  segments.insert(segments.end(), result.s3_sequences.begin(),
+                  result.s3_sequences.end());
+  return make_test_program(model, std::move(segments));
 }
 
 }  // namespace fsct

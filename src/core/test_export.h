@@ -34,11 +34,14 @@ struct TestProgram {
   std::vector<std::vector<Val>> expected;      ///< per cycle, observe values
 };
 
-/// Builds a program from a stimulus: simulates the good machine from
-/// power-up (all-X state) and records the expected strobe values.
-/// `observe` empty = POs + scan-outs.
+/// Builds a program from stimulus segments played back to back: simulates
+/// the good machine from power-up (all-X state) through their concatenation
+/// and records the expected strobe values.  A flat stimulus is the
+/// one-segment case; how the stimulus is cut never changes the program, only
+/// how fast its strobes are computed (segments are traced side by side, one
+/// per SIMD lane).  `observe` empty = POs + scan-outs.
 TestProgram make_test_program(const ScanModeModel& model,
-                              TestSequence stimulus,
+                              std::vector<TestSequence> segments,
                               std::vector<NodeId> observe = {});
 
 /// Serialises / parses the text format (throws std::runtime_error with a

@@ -45,27 +45,4 @@ class SeqSim {
   std::vector<Val> values_;
 };
 
-/// 64-way packed sequential simulator (64 independent machines: used for
-/// parallel-fault sequential fault simulation, bit 0 conventionally the good
-/// machine).
-class PackedSeqSim {
- public:
-  explicit PackedSeqSim(const Levelizer& lv);
-
-  void reset(Val v = Val::X);
-  void set_state(std::span<const PackedVal> state);
-  const std::vector<PackedVal>& state() const { return state_; }
-
-  const std::vector<PackedVal>& step(std::span<const PackedVal> pi_values,
-                                     std::span<const PackedInjection> inj = {});
-
-  const std::vector<PackedVal>& values() const { return values_; }
-
- private:
-  const Levelizer& lv_;
-  PackedCombSim comb_;
-  std::vector<PackedVal> state_;
-  std::vector<PackedVal> values_;
-};
-
 }  // namespace fsct

@@ -391,8 +391,8 @@ class WideSim {
   std::vector<char> injected_;
 };
 
-/// W-lane sequential stepper (the wide counterpart of PackedSeqSim): per
-/// cycle, load PI lanes, apply the flip-flop state, evaluate, clock.
+/// W-lane sequential stepper (the wide counterpart of SeqSim): per cycle,
+/// load PI lanes, apply the flip-flop state, evaluate, clock.
 template <int NW>
 class WideSeqSim {
  public:
@@ -402,6 +402,17 @@ class WideSeqSim {
   const SoaCircuit& circuit() const { return sim_.circuit(); }
 
   void reset(Val v) { state_.assign(state_.size(), WideVal<NW>::broadcast(v)); }
+
+  /// Sets flip-flop states, indexed in circuit dffs() order.
+  void set_state(std::span<const WideVal<NW>> state) {
+    if (state.size() != state_.size()) {
+      throw std::invalid_argument("set_state: size mismatch");
+    }
+    state_.assign(state.begin(), state.end());
+  }
+
+  /// Current (post-edge) flip-flop states in circuit dffs() order.
+  const std::vector<WideVal<NW>>& state() const { return state_; }
 
   /// `pi_values` indexed in circuit inputs() order.
   const WideSim<NW>& step(std::span<const WideVal<NW>> pi_values,

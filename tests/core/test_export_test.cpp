@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "bench_circuits/generator.h"
 #include "bench_circuits/paper_examples.h"
+#include "bench_circuits/suite.h"
 #include "core/classify.h"
 #include "scan/scan_sequences.h"
 #include "scan/tpi.h"
+#include "sim/seq_sim.h"
 
 namespace fsct {
 namespace {
@@ -35,7 +39,7 @@ struct World {
 
 TEST(TestExport, ProgramRecordsGoodResponses) {
   World w(80);
-  const TestProgram p = make_test_program(w.model, w.stimulus());
+  const TestProgram p = make_test_program(w.model, {w.stimulus()});
   EXPECT_EQ(p.circuit, w.nl.name());
   EXPECT_EQ(p.input_names.size(), w.nl.inputs().size());
   ASSERT_EQ(p.stimulus.size(), p.expected.size());
@@ -45,7 +49,7 @@ TEST(TestExport, ProgramRecordsGoodResponses) {
 
 TEST(TestExport, RoundTripsThroughText) {
   World w(81);
-  const TestProgram p = make_test_program(w.model, w.stimulus());
+  const TestProgram p = make_test_program(w.model, {w.stimulus()});
   const std::string text = write_test_program_string(p);
   const TestProgram q = read_test_program_string(text);
   EXPECT_EQ(q.circuit, p.circuit);
@@ -57,7 +61,7 @@ TEST(TestExport, RoundTripsThroughText) {
 
 TEST(TestExport, FaultyDeviceFailsTheProgram) {
   World w(82);
-  const TestProgram p = make_test_program(w.model, w.stimulus());
+  const TestProgram p = make_test_program(w.model, {w.stimulus()});
   ChainFaultClassifier cls(w.model);
   const auto faults = collapsed_fault_list(w.nl);
   int easy_checked = 0;
@@ -71,7 +75,7 @@ TEST(TestExport, FaultyDeviceFailsTheProgram) {
 
 TEST(TestExport, BindReordersInputsByName) {
   World w(83);
-  TestProgram p = make_test_program(w.model, w.stimulus());
+  TestProgram p = make_test_program(w.model, {w.stimulus()});
   // Shuffle the input columns; binding must undo it.
   std::reverse(p.input_names.begin(), p.input_names.end());
   for (auto& row : p.stimulus) std::reverse(row.begin(), row.end());
@@ -80,7 +84,7 @@ TEST(TestExport, BindReordersInputsByName) {
 
 TEST(TestExport, BindRejectsUnknownNames) {
   World w(84);
-  TestProgram p = make_test_program(w.model, w.stimulus());
+  TestProgram p = make_test_program(w.model, {w.stimulus()});
   p.observe_names.push_back("ghost_net");
   for (auto& row : p.expected) row.push_back(Val::X);
   EXPECT_THROW(bind_test_program(w.nl, p), std::runtime_error);
@@ -97,10 +101,142 @@ TEST(TestExport, ParserRejectsMalformedInput) {
 
 TEST(TestExport, CommentsAndBlankLinesIgnored) {
   World w(85);
-  const TestProgram p = make_test_program(w.model, w.stimulus());
+  const TestProgram p = make_test_program(w.model, {w.stimulus()});
   std::string text = "# tester program\n\n" + write_test_program_string(p);
   const TestProgram q = read_test_program_string(text);
   EXPECT_EQ(q.stimulus, p.stimulus);
+}
+
+// The reference the segmented export must reproduce: one scalar SeqSim run
+// over the whole flat stimulus from power-up.
+std::vector<std::vector<Val>> scalar_trace(const Levelizer& lv,
+                                           const TestProgram& p) {
+  const BoundTestProgram b = bind_test_program(lv.netlist(), p);
+  SeqSim sim(lv);
+  std::vector<std::vector<Val>> rows;
+  for (const auto& pi : b.stimulus) {
+    const auto& v = sim.step(pi);
+    std::vector<Val> row;
+    for (NodeId o : b.observe) row.push_back(v[o]);
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+std::string row_string(const std::vector<Val>& row) {
+  std::string s;
+  for (Val v : row) s += val_char(v);
+  return s;
+}
+
+// Byte-identical to the flat scalar trace of the same stimulus.
+void expect_scalar_exact(const Levelizer& lv, const TestProgram& p,
+                         const std::string& what) {
+  TestProgram ref = p;
+  ref.expected = scalar_trace(lv, p);
+  ASSERT_EQ(ref.expected.size(), p.expected.size()) << what;
+  for (std::size_t t = 0; t < ref.expected.size(); ++t) {
+    ASSERT_EQ(row_string(p.expected[t]), row_string(ref.expected[t]))
+        << what << ", cycle " << t;
+  }
+  EXPECT_EQ(write_test_program_string(p), write_test_program_string(ref))
+      << what;
+}
+
+// Chain-test-shaped segments: the flush, `vectors` random scan loads with
+// observe, then one random free-running sequence (random X-laced stimulus on
+// every PI, like a step-3 test leaving scan mode).
+std::vector<TestSequence> random_segments(const Netlist& nl,
+                                          const ScanDesign& d,
+                                          std::size_t maxlen,
+                                          std::size_t vectors,
+                                          std::mt19937_64& rng) {
+  const ScanSequenceBuilder sb(nl, d);
+  auto rand_3val = [&rng]() {
+    const auto r = rng() & 7;
+    return r < 2 ? Val::X : (r & 1) ? Val::One : Val::Zero;
+  };
+  std::vector<TestSequence> segs{sb.alternating(2 * maxlen + 8)};
+  for (std::size_t k = 0; k < vectors; ++k) {
+    std::vector<Val> ff(nl.dffs().size()), pi(nl.inputs().size());
+    for (Val& v : ff) v = rand_3val();
+    for (Val& v : pi) v = rand_3val();
+    segs.push_back(sb.apply_comb_vector(ff, pi, maxlen + 2));
+  }
+  TestSequence free_run(12, std::vector<Val>(nl.inputs().size()));
+  for (auto& row : free_run) {
+    for (Val& v : row) v = rand_3val();
+  }
+  segs.push_back(std::move(free_run));
+  return segs;
+}
+
+TEST(TestExport, SegmentedTraceMatchesScalarOnSuite) {
+  std::vector<std::pair<Netlist, int>> circuits;
+  circuits.emplace_back(iscas_s27(), 1);
+  for (const SuiteEntry& e : paper_suite()) {
+    circuits.emplace_back(build_suite_circuit(e), e.chains);
+  }
+  std::mt19937_64 rng(13);
+  for (const auto& [base, chains] : circuits) {
+    for (const int permille : {1000, 400}) {
+      Netlist nl = base;
+      TpiOptions topt;
+      topt.num_chains = chains;
+      topt.scan_permille = permille;
+      const ScanDesign d = run_tpi(nl, topt);
+      const Levelizer lv(nl);
+      const ScanModeModel model(lv, d);
+      const TestProgram p = make_test_program(
+          model, random_segments(nl, d, model.max_chain_length(), 4, rng));
+      expect_scalar_exact(lv, p,
+                          nl.name() + " permille " + std::to_string(permille));
+    }
+  }
+}
+
+TEST(TestExport, ChainProgramWithStep3SequencesMatchesScalar) {
+  World w(83);
+  PipelineOptions opt;
+  opt.verify_seq = true;
+  const PipelineResult r =
+      run_fsct_pipeline(w.model, collapsed_fault_list(w.nl), opt);
+  ASSERT_FALSE(r.s3_sequences.empty());
+  expect_scalar_exact(w.lv, make_chain_test_program(w.model, r), "seed 83");
+}
+
+TEST(TestExport, MoreSegmentsThanLanesMatchScalar) {
+  World w(86);
+  std::mt19937_64 rng(86);
+  const std::vector<TestSequence> segs =
+      random_segments(w.nl, w.design, w.model.max_chain_length(), 150, rng);
+  ASSERT_GT(segs.size(), 128u);  // three 64-lane blocks
+  expect_scalar_exact(w.lv, make_test_program(w.model, segs), "150 vectors");
+  // Cutting the same stimulus differently never changes the program.
+  TestSequence flat;
+  for (const TestSequence& s : segs) flat.insert(flat.end(), s.begin(), s.end());
+  EXPECT_EQ(write_test_program_string(make_test_program(w.model, {flat})),
+            write_test_program_string(make_test_program(w.model, segs)));
+}
+
+TEST(TestExport, StickyStateNeedsOnePassPerSegment) {
+  // q = DFF(OR(q, set)): X from power-up, 1 forever once `set` pulses in
+  // the first segment.  Segment k only sees q = 1 after k + 1 passes, so a
+  // trace that stops after fewer passes leaves X where the device shows 1.
+  Netlist nl("sticky");
+  const NodeId set = nl.add_input("set");
+  const NodeId q = nl.add_dff_floating("q");
+  const NodeId d = nl.add_gate(GateType::Or, {q, set}, "d");
+  nl.set_fanin(q, 0, d);
+  nl.mark_output(q);
+  const Levelizer lv(nl);
+  const ScanDesign none;
+  const ScanModeModel model(lv, none);
+  std::vector<TestSequence> segs{{{Val::Zero}, {Val::One}, {Val::Zero}}};
+  for (int k = 0; k < 70; ++k) segs.push_back({{Val::Zero}, {Val::Zero}});
+  const TestProgram p = make_test_program(model, segs);
+  expect_scalar_exact(lv, p, "sticky");
+  EXPECT_EQ(p.expected.back()[0], Val::One);
 }
 
 TEST(TestExport, Figure2ProgramFromPipelineVectors) {
@@ -108,7 +244,7 @@ TEST(TestExport, Figure2ProgramFromPipelineVectors) {
   const Levelizer lv(e.nl);
   const ScanModeModel model(lv, e.design);
   const ScanSequenceBuilder sb(e.nl, e.design);
-  const TestProgram p = make_test_program(model, sb.alternating(20));
+  const TestProgram p = make_test_program(model, {sb.alternating(20)});
   EXPECT_EQ(run_test_program(lv, p), 0u);
   const Fault f{e.nl.find("a"), -1, true};  // category-1 chain fault
   EXPECT_GT(run_test_program(lv, p, &f), 0u);

@@ -93,47 +93,5 @@ TEST(SeqSim, S27MatchesHandComputedCycle) {
   EXPECT_EQ(sim.state()[2], k1);  // G7 <- G13 = 1
 }
 
-TEST(PackedSeqSim, MatchesScalarAcrossMachines) {
-  const Netlist nl = iscas_s27();
-  const Levelizer lv(nl);
-  // Bit b: PI vector = binary expansion of b over 4 PIs, 3 cycles.
-  PackedSeqSim psim(lv);
-  psim.reset(k0);
-  std::vector<SeqSim> scalar(16, SeqSim(lv));
-  for (auto& s : scalar) s.reset(k0);
-
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    std::vector<PackedVal> ppi(4);
-    for (unsigned b = 0; b < 16; ++b) {
-      std::vector<Val> pi(4);
-      for (unsigned i = 0; i < 4; ++i) {
-        pi[i] = ((b >> i) & 1) ? k1 : k0;
-        ppi[i].set(b, pi[i]);
-      }
-      scalar[b].step(pi);
-    }
-    psim.step(ppi);
-    for (unsigned b = 0; b < 16; ++b) {
-      for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-        ASSERT_EQ(psim.state()[i].at(b), scalar[b].state()[i])
-            << "cycle " << cycle << " machine " << b << " ff " << i;
-      }
-    }
-  }
-}
-
-TEST(PackedSeqSim, InjectionPerMachine) {
-  const Netlist nl = shift2();
-  const Levelizer lv(nl);
-  PackedSeqSim sim(lv);
-  sim.reset(k0);
-  std::vector<PackedVal> pi(1);
-  pi[0] = PackedVal::broadcast(k0);
-  const PackedInjection inj[] = {{nl.find("q1"), -1, 0b10ull, k1}};
-  sim.step(pi, inj);
-  EXPECT_EQ(sim.state()[1].at(0), k0);  // machine 0: healthy
-  EXPECT_EQ(sim.state()[1].at(1), k1);  // machine 1: faulty
-}
-
 }  // namespace
 }  // namespace fsct

@@ -198,7 +198,24 @@ EOF
   done
   cmp "$OBS_TMP/metrics_w64.norm" "$OBS_TMP/metrics_w256.norm"
   cmp "$OBS_TMP/metrics_w64.norm" "$OBS_TMP/metrics_w512.norm"
-  echo "check.sh: width sweep OK (identical run reports at 64/256/512)"
+  # The exported chain test program is part of the result: it must be
+  # byte-identical at every lane width and job count, and replay clean on the
+  # scanned netlist shipped beside it.  (s1423 exits 1 by design: one fault
+  # stays undetected at these budgets.)
+  for C in "$OBS_TMP/s27.bench" s1423; do
+    N="$(basename "$C" .bench)"
+    for W in 64 256 512; do
+      for J in 1 2; do
+        ./build/tools/fsct test "$C" --jobs "$J" --simd-width "$W" \
+          -o "$OBS_TMP/prog_${N}_w${W}_j${J}.fsct" > /dev/null || [[ $? == 1 ]]
+        cmp "$OBS_TMP/prog_${N}_w64_j1.fsct" "$OBS_TMP/prog_${N}_w${W}_j${J}.fsct"
+      done
+    done
+    [[ "$(./build/tools/fsct replay "$OBS_TMP/prog_${N}_w64_j1.fsct" \
+          "$OBS_TMP/prog_${N}_w64_j1.fsct.bench")" == *PASS ]]
+  done
+  echo "check.sh: width sweep OK (identical run reports at 64/256/512," \
+       "identical programs at 64/256/512 x jobs 1/2, replay PASS)"
 
   # Serve smoke: the daemon must serve the same normalized run report as the
   # CLI (the serve determinism contract, DESIGN.md §5j), answer a repeated
@@ -451,9 +468,10 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   # must be provably clean at every width.
   cmake -B build-ubsan -S . -DFSCT_SANITIZE=undefined "$@"
   cmake --build build-ubsan -j \
-    --target soa_sim_test seq_fault_sim_test pair_sim_test podem_test
+    --target soa_sim_test seq_fault_sim_test pair_sim_test podem_test \
+             test_export_test
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-ubsan \
-    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.'
+    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.'
   echo "check.sh: UBSan clean over the SoA/wide kernels"
 fi
 echo "check.sh: OK (plain tests $( [[ $TSAN_ONLY == 1 ]] && echo skipped || echo passed ), TSan clean)"

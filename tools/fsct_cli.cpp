@@ -78,6 +78,7 @@
 // disturbing the run; --progress adds a periodic heartbeat line with ETA.
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -578,14 +579,18 @@ int cmd_test(const Args& a) {
               r.s3_circuits_group, r.s3_circuits_final);
 
   if (!a.out.empty()) {
+    const auto t_export = std::chrono::steady_clock::now();
     const TestProgram p = make_chain_test_program(model, r);
+    const double export_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t_export)
+                                .count();
     std::ofstream os(a.out);
     write_test_program(os, p);
     // The program runs on the *scanned* device: ship that netlist alongside.
     std::ofstream bos(a.out + ".bench");
     write_bench(bos, nl);
-    std::printf("wrote %s (%zu cycles) and %s.bench\n", a.out.c_str(),
-                p.stimulus.size(), a.out.c_str());
+    std::printf("wrote %s (%zu cycles, export %.3fs) and %s.bench\n",
+                a.out.c_str(), p.stimulus.size(), export_s, a.out.c_str());
   }
   return r.s3_undetected == 0 ? 0 : 1;
 }
