@@ -1,16 +1,25 @@
-#include "shard/checkpoint.h"
+// The checkpoint file format, its durable writer and the in-process runner
+// (safe-point cadence, stop signals, resume with observability restored).
+#include "core/checkpoint.h"
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/io_util.h"
 #include "core/json.h"
+#include "core/obs.h"
+#include "netlist/bench_io.h"
 #include "sim/value.h"
 
 namespace fsct {
@@ -540,6 +549,16 @@ void write_checkpoint_atomic(const std::string& path,
     ::unlink(tmp.c_str());
     throw std::runtime_error("cannot write checkpoint: " + path);
   }
+  // The rename lives in the directory: fsync it too, or a crash can roll the
+  // directory entry back to the previous checkpoint (or to none at all).
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  bool dir_ok = dfd >= 0 && ::fsync(dfd) == 0;
+  if (dfd >= 0) dir_ok = ::close(dfd) == 0 && dir_ok;
+  if (!dir_ok) {
+    throw std::runtime_error("cannot sync checkpoint directory: " + dir);
+  }
 }
 
 CheckpointData read_checkpoint(const std::string& path) {
@@ -548,6 +567,200 @@ CheckpointData read_checkpoint(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return parse_checkpoint(ss.str(), path);
+}
+
+namespace {
+
+// The metric of kind E named `metric`; throws naming checkpoint `ckpt`.
+template <class E>
+E metric_named(const std::string& metric, std::size_t n,
+               const char* (*name_of)(E), const std::string& ckpt) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (metric == name_of(static_cast<E>(i))) return static_cast<E>(i);
+  }
+  throw std::runtime_error(ckpt + ": unknown metric: " + metric);
+}
+
+// Set by the handler on whichever thread takes the signal, read by the
+// skeleton thread: a lock-free atomic is both signal-safe and race-free.
+std::atomic<bool> g_stop_requested{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+
+void request_stop(int) {
+  g_stop_requested.store(true, std::memory_order_relaxed);
+}
+
+// Installs the cooperative-stop handlers for one run and restores the
+// previous ones on scope exit.  SA_RESTART: nothing needs waking, the flag
+// is read at the next safe point.
+struct StopSignals {
+  bool on;
+  struct sigaction old_term {}, old_int {};
+
+  explicit StopSignals(bool catch_signals) : on(catch_signals) {
+    g_stop_requested.store(false, std::memory_order_relaxed);
+    if (!on) return;
+    struct sigaction sa {};
+    sa.sa_handler = request_stop;
+    sa.sa_flags = SA_RESTART;
+    sigemptyset(&sa.sa_mask);
+    ::sigaction(SIGTERM, &sa, &old_term);
+    ::sigaction(SIGINT, &sa, &old_int);
+  }
+  ~StopSignals() {
+    if (!on) return;
+    ::sigaction(SIGTERM, &old_term, nullptr);
+    ::sigaction(SIGINT, &old_int, nullptr);
+  }
+};
+
+}  // namespace
+
+std::uint64_t checkpoint_binding_hash(const ScanModeModel& model,
+                                      std::span<const Fault> faults,
+                                      const PipelineOptions& opt) {
+  std::ostringstream os;
+  os << write_bench_string(model.levelizer().netlist());
+  const ScanDesign& d = model.design();
+  os << "|m" << d.scan_mode;
+  for (const auto& [pi, v] : d.pi_constraints) {
+    os << ";p" << pi << ':' << val_char(v);
+  }
+  for (const ScanChain& c : d.chains) {
+    os << ";c" << c.scan_in;
+    for (NodeId ff : c.ffs) os << ',' << ff;
+  }
+  os << '|';
+  for (const Fault& f : faults) {
+    os << 'f' << f.node << '/' << f.pin << '/' << (f.stuck_one ? 1 : 0) << ';';
+  }
+  os << "|o" << opt.auto_dist << ',' << opt.dist.large_dist << ','
+     << opt.dist.med_dist << ',' << opt.dist.dist << ','
+     << opt.comb_backtrack_limit << ',' << opt.seq_backtrack_limit << ','
+     << opt.final_backtrack_limit << ',' << opt.comb_time_limit_ms << ','
+     << opt.seq_time_limit_ms << ',' << opt.final_time_limit_ms << ','
+     << opt.random_patterns << ',' << opt.frame_slack << ',' << opt.frame_cap
+     << ',' << opt.final_extra_frames << ',' << opt.observe_pos << ','
+     << opt.verify_easy << ',' << opt.verify_seq << ',' << opt.dominance
+     << ',' << opt.alternating_cycles << ',' << opt.observe_cycles;
+  return fnv1a64(os.str());
+}
+
+CheckpointData make_checkpoint(const PipelineProgress& pg, std::uint64_t hash,
+                               const ObsRegistry* obs) {
+  CheckpointData ck;
+  ck.hash = hash;
+  ck.resume.phase = pg.next;
+  ck.resume.partial = *pg.res;
+  ck.resume.podem_next = pg.podem_next;
+  if (pg.next == PipelinePhase::S2Podem && pg.comb_covered) {
+    ck.resume.comb_covered = *pg.comb_covered;
+  }
+  if (pg.groups && pg.groups_done) {
+    for (std::size_t gi = 0; gi < pg.groups_done->size(); ++gi) {
+      if ((*pg.groups_done)[gi]) ck.resume.groups_done[gi] = (*pg.groups)[gi];
+    }
+  }
+  if (pg.finals && pg.finals_done && pg.final_ids) {
+    for (std::size_t k = 0; k < pg.finals_done->size(); ++k) {
+      if ((*pg.finals_done)[k]) {
+        ck.resume.finals_done[(*pg.final_ids)[k]] = (*pg.finals)[k];
+      }
+    }
+  }
+  if (!obs) return ck;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const Ctr c = static_cast<Ctr>(i);
+    if (const std::uint64_t n = obs->total(c)) {
+      ck.counters.emplace_back(counter_name(c), n);
+    }
+  }
+  for (std::size_t i = 0; i < kNumHists; ++i) {
+    const Hist h = static_cast<Hist>(i);
+    const auto buckets = obs->hist_total(h);
+    if (std::all_of(buckets.begin(), buckets.end(),
+                    [](std::uint64_t b) { return b == 0; })) {
+      continue;  // never observed (so the sample sum is zero too)
+    }
+    ck.hists.push_back(
+        {hist_name(h), obs->hist_sum(h), {buckets.begin(), buckets.end()}});
+  }
+  if (obs->attribution_enabled()) {
+    for (std::size_t f = 0; f < obs->attribution_faults(); ++f) {
+      for (std::size_t a = 0; a < kNumAttrs; ++a) {
+        const Attr col = static_cast<Attr>(a);
+        if (const std::uint64_t n = obs->attr_total(col, f)) {
+          ck.attr.push_back({f, attr_name(col), n});
+        }
+      }
+    }
+  }
+  return ck;
+}
+
+PipelineResume restore_checkpoint(CheckpointData data, std::uint64_t hash,
+                                  std::size_t num_faults, ObsRegistry* obs,
+                                  const std::string& name) {
+  if (data.hash != hash) {
+    throw std::runtime_error("checkpoint " + name +
+                             " was written by a different circuit or "
+                             "configuration (binding hash mismatch)");
+  }
+  if (obs) {
+    // Attribution must be sized before cells can be charged; the pipeline's
+    // own init is idempotent.
+    if (obs->attribution_requested()) obs->init_attribution(num_faults);
+    for (const auto& [metric, n] : data.counters) {
+      obs->add(metric_named(metric, kNumCounters, counter_name, name), n);
+    }
+    for (const CheckpointData::HistState& h : data.hists) {
+      obs->import_hist(metric_named(h.name, kNumHists, hist_name, name),
+                       h.buckets, h.sum);
+    }
+    for (const CheckpointData::AttrCell& cell : data.attr) {
+      obs->charge(metric_named(cell.column, kNumAttrs, attr_name, name),
+                  cell.fault, cell.count);
+    }
+  }
+  return std::move(data.resume);
+}
+
+PipelineResult run_checkpointed_pipeline(const ScanModeModel& model,
+                                         std::span<const Fault> faults,
+                                         const PipelineOptions& opt,
+                                         const CheckpointOptions& copt) {
+  const std::uint64_t hash = checkpoint_binding_hash(model, faults, opt);
+  PipelineResume resume;
+  if (!copt.resume_path.empty()) {
+    resume = restore_checkpoint(read_checkpoint(copt.resume_path), hash,
+                                faults.size(), opt.obs, copt.resume_path);
+  }
+
+  const StopSignals signals(!copt.path.empty());
+  std::size_t safepoints = 0;
+  auto last = std::chrono::steady_clock::now();
+  PipelineHooks hooks;
+  hooks.safe_point = [&](const PipelineProgress& pg) {
+    ++safepoints;
+    const bool stop =
+        g_stop_requested.load(std::memory_order_relaxed) ||
+        (copt.stop_after_safepoints > 0 &&
+         safepoints >= static_cast<std::size_t>(copt.stop_after_safepoints));
+    if (!copt.path.empty()) {
+      const auto now = std::chrono::steady_clock::now();
+      if (stop || copt.interval_ms <= 0 ||
+          now - last >= std::chrono::milliseconds(copt.interval_ms)) {
+        write_checkpoint_atomic(copt.path, make_checkpoint(pg, hash, opt.obs));
+        last = now;
+      }
+    }
+    return !stop;
+  };
+
+  PipelineOptions run_opt = opt;
+  run_opt.hooks = &hooks;
+  run_opt.resume = copt.resume_path.empty() ? nullptr : &resume;
+  return run_fsct_pipeline(model, faults, run_opt);
 }
 
 }  // namespace fsct

@@ -47,4 +47,13 @@ long read_retry(int fd, void* p, std::size_t n) {
   }
 }
 
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 }  // namespace fsct

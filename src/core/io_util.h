@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace fsct {
@@ -33,5 +34,8 @@ bool write_line(int fd, const std::string& line);
 /// read(2) retrying on EINTR only.  Returns the byte count (0 = EOF) or -1
 /// on a real error.
 long read_retry(int fd, void* p, std::size_t n);
+
+/// FNV-1a 64-bit over `s`: the checkpoint binding and model-cache hash.
+std::uint64_t fnv1a64(const std::string& s);
 
 }  // namespace fsct

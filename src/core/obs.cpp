@@ -735,6 +735,19 @@ void ObsRegistry::merge_from(const ObsRegistry& other) {
       s.hist_sums[h].fetch_add(sum, std::memory_order_relaxed);
     }
   }
+  if (!attribution_enabled()) return;
+  const std::size_t cells_n =
+      std::min(attr_faults_, other.attr_faults_) * kNumAttrs;
+  for (std::size_t sh = 0; sh < kShards; ++sh) {
+    const std::atomic<std::uint64_t>* cells =
+        other.shards_[sh].attr.load(std::memory_order_acquire);
+    if (!cells) continue;
+    for (std::size_t i = 0; i < cells_n; ++i) {
+      if (const std::uint64_t n = cells[i].load(std::memory_order_relaxed)) {
+        charge(static_cast<Attr>(i % kNumAttrs), i / kNumAttrs, n);
+      }
+    }
+  }
 }
 
 void ObsRegistry::import_hist(Hist h, std::span<const std::uint64_t> buckets,

@@ -337,17 +337,19 @@ class ObsRegistry {
   /// writes one terminator for the whole page).
   void write_openmetrics_body(std::ostream& os) const;
 
-  /// Adds `other`'s merged counter and histogram totals (buckets + sums)
-  /// into this registry's calling-thread shard.  `fsct serve` folds each
-  /// finished session's registry into one daemon-lifetime registry this way,
-  /// so /metrics exposes cumulative pipeline counters across all requests.
-  /// Gauges are set-once run facts and are deliberately not merged.
+  /// Adds `other`'s merged counter and histogram totals (buckets + sums),
+  /// and its attribution cells when this registry's ledger is on, into this
+  /// registry's calling-thread shard.  `fsct serve` folds each finished
+  /// session into its daemon-lifetime registry this way (cumulative
+  /// /metrics); a checkpointed run folds each finished step-3 item's private
+  /// registry into the run's.  Gauges are set-once run facts and are
+  /// deliberately not merged.  Call once `other` is quiescent.
   void merge_from(const ObsRegistry& other);
 
   /// Adds pre-aggregated histogram state (per-bucket counts + sample sum)
-  /// into the calling thread's shard — the import path for shard-worker
-  /// reply deltas and checkpoint restore, where only the serialized totals
-  /// of a foreign registry are available.
+  /// into the calling thread's shard — the import path for checkpoint
+  /// restore, where only the serialized totals of a foreign registry are
+  /// available.
   void import_hist(Hist h, std::span<const std::uint64_t> buckets,
                    std::uint64_t sum);
 

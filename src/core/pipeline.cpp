@@ -25,19 +25,19 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 // The pipeline skeleton.  Control flow, merge order and counter charging live
 // here and ONLY here; the data-parallel per-fault/per-group work is delegated
-// to a PipelineExec (LocalExec by default, the sharded coordinator when
+// to a PipelineExec (LocalExec by default, a caller's decorator when
 // opt.exec is set).  Every merge walks items in canonical order, so the
 // result is bitwise identical for any executor — the same argument that makes
 // `--jobs N` deterministic.
 //
 // Checkpoint/resume: opt.hooks->safe_point fires at phase boundaries, after
-// every PODEM target and (with an exec that reports item completion) after
-// every step-3 group/final item.  opt.resume restores the state such a
-// callback observed and skips the completed work.  Step-3 outcome/counter
-// merges happen only in the post-phase merge loops, so mid-phase checkpoints
-// never contain half-merged state: the groups_done/finals_done maps carry the
-// completed items and the merge runs exactly once, in the run that finishes
-// the phase.
+// every PODEM target and after every step-3 group/final item (reported by
+// the exec through ItemDone, passed only when a hook is set).  opt.resume
+// restores the state such a callback observed and skips the completed work.
+// Step-3 outcome/counter merges happen only in the post-phase merge loops,
+// so mid-phase checkpoints never contain half-merged state: the
+// groups_done/finals_done maps carry the completed items and the merge runs
+// exactly once, in the run that finishes the phase.
 PipelineResult run_fsct_pipeline(const ScanModeModel& model,
                                  std::span<const Fault> faults,
                                  const PipelineOptions& opt) {
@@ -116,8 +116,9 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
   std::size_t podem_done =
       (rz && start == PipelinePhase::S2Podem) ? rz->podem_next : 0;
   PipelineProgress pg;
+  const bool hooked = opt.hooks && opt.hooks->safe_point;
   auto hook_check = [&](PipelinePhase next) -> bool {
-    if (!opt.hooks || !opt.hooks->safe_point) return true;
+    if (!hooked) return true;
     pg.next = next;
     pg.res = &res;
     pg.comb_covered = &comb_covered;
@@ -129,6 +130,17 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
       throw PipelineStopped(std::string("pipeline stopped before ") +
                             pipeline_phase_name(next));
     }
+  };
+  // The per-item safe point of step-3 phase `phase`: marks the item done in
+  // `mask` and records a stop verdict in `stop`.  Empty when unhooked.
+  auto item_safe_point = [&](PipelinePhase phase, std::vector<char>& mask,
+                             bool& stop) -> PipelineExec::ItemDone {
+    if (!hooked) return {};
+    return [&hook_check, &mask, &stop, phase](std::size_t item) {
+      mask[item] = 1;
+      stop = !hook_check(phase);
+      return !stop;
+    };
   };
   if (verbose && rz) {
     std::snprintf(pbuf, sizeof pbuf, "resume: continuing at phase %s",
@@ -616,14 +628,8 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
       pg.groups = &done;
       pg.groups_done = &gmask;
       bool stop = false;
-      PipelineExec::ItemDone on_group_done = [&](std::size_t gi) {
-        gmask[gi] = 1;
-        if (!hook_check(PipelinePhase::S3Groups)) {
-          stop = true;
-          return false;
-        }
-        return true;
-      };
+      const PipelineExec::ItemDone on_group_done =
+          item_safe_point(PipelinePhase::S3Groups, gmask, stop);
       {
         if (obs) obs->begin_phase("step3.groups", groups.size());
         const ObsSpan phase(obs, "step3.groups");
@@ -737,14 +743,8 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
     pg.finals_done = &fmask;
     pg.final_ids = &final_idx;
     bool stop = false;
-    PipelineExec::ItemDone on_final_done = [&](std::size_t k) {
-      fmask[k] = 1;
-      if (!hook_check(PipelinePhase::S3Final)) {
-        stop = true;
-        return false;
-      }
-      return true;
-    };
+    const PipelineExec::ItemDone on_final_done =
+        item_safe_point(PipelinePhase::S3Final, fmask, stop);
     {
       if (obs) obs->begin_phase("step3.final", final_idx.size());
       const ObsSpan phase(obs, "step3.final");

@@ -114,9 +114,8 @@ struct PipelineOptions {
   const PipelineCompiled* compiled = nullptr;
 
   /// Execution strategy for the data-parallel phases (core/pipeline_exec.h).
-  /// nullptr = in-process LocalExec on this run's pool (the historical
-  /// behaviour); src/shard substitutes a multi-process coordinator.  Results
-  /// are bitwise identical either way.
+  /// nullptr = LocalExec on this run's pool; a caller may pass its own (a
+  /// tracing wrapper, say).  Results are bitwise identical either way.
   PipelineExec* exec = nullptr;
   /// Optional safe-point callback (checkpointing / cooperative stop); see
   /// PipelineHooks.  nullptr = no safe points taken.

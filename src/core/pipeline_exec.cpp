@@ -1,12 +1,94 @@
 #include "core/pipeline_exec.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <thread>
 
 #include "core/obs.h"
 #include "core/parallel.h"
 
 namespace fsct {
+namespace {
+
+// The reporting path of the step-3 phases (DESIGN.md §5l).  Each item runs
+// on a one-item LocalExec charging a private registry.  The calling
+// (skeleton) thread folds finished items into opt.obs, between its own
+// items and after the loop, moves each outcome into `done` and only then
+// reports it, so at every on_done the run's totals hold exactly the
+// reported items.  After a false return no item starts, and items still in
+// flight are discarded, outcome and charges alike.
+template <class Outcome, class RunOne>
+void run_reported(const ScanModeModel& model, std::span<const Fault> faults,
+                  const PipelineOptions& opt, ThreadPool& pool,
+                  const char* span_name, std::span<const std::size_t> todo,
+                  std::vector<Outcome>& done,
+                  const PipelineExec::ItemDone& on_done,
+                  const RunOne& run_one) {
+  struct Finished {
+    std::size_t item;
+    Outcome out;
+    std::unique_ptr<ObsRegistry> reg;
+  };
+  ObsRegistry* const obs = opt.obs;
+  std::mutex m;
+  std::vector<Finished> ready;
+  std::atomic<bool> stop{false};
+  const std::thread::id skeleton = std::this_thread::get_id();
+  auto fold = [&] {
+    std::vector<Finished> batch;
+    {
+      const std::lock_guard<std::mutex> lk(m);
+      batch.swap(ready);
+    }
+    for (Finished& f : batch) {
+      if (stop.load(std::memory_order_relaxed)) return;
+      if (obs) {
+        obs->merge_from(*f.reg);
+        obs->phase_tick();
+      }
+      done[f.item] = std::move(f.out);
+      if (!on_done(f.item)) stop.store(true, std::memory_order_relaxed);
+    }
+  };
+  parallel_for(pool, todo.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      if (stop.load(std::memory_order_relaxed)) return;
+      Finished f{todo[i], Outcome{}, nullptr};
+      PipelineOptions one_opt = opt;
+      if (obs) {
+        f.reg = std::make_unique<ObsRegistry>();
+        if (obs->attribution_enabled()) f.reg->init_attribution(faults.size());
+      }
+      one_opt.obs = f.reg.get();
+      {
+        const ObsSpan span(obs, span_name);
+        test_phase_sleep(span_name);
+        LocalExec one(model, faults, one_opt, pool);
+        f.out = run_one(one, f.item);
+      }
+      {
+        const std::lock_guard<std::mutex> lk(m);
+        ready.push_back(std::move(f));
+      }
+      if (std::this_thread::get_id() == skeleton) {
+        try {
+          fold();
+        } catch (...) {  // e.g. a failed checkpoint write: start no item
+          stop.store(true, std::memory_order_relaxed);
+          throw;
+        }
+      }
+    }
+  });
+  fold();
+}
+
+constexpr std::size_t kOnlyItem[1] = {0};  // `todo` of a one-item call
+
+}  // namespace
 
 const char* pipeline_phase_name(PipelinePhase p) {
   switch (p) {
@@ -126,7 +208,16 @@ std::vector<int> LocalExec::s2_first_vec(std::span<const ScanVector> vectors,
 void LocalExec::run_groups(const std::vector<AtpgGroup>& groups,
                            std::span<const std::size_t> todo,
                            std::vector<GroupOutcome>& done,
-                           const ItemDone& /*on_done*/) {
+                           const ItemDone& on_done) {
+  if (on_done) {
+    run_reported(model_, faults_, opt_, pool_, "s3.group", todo, done, on_done,
+                 [&](LocalExec& one, std::size_t gi) {
+                   std::vector<GroupOutcome> out(1);
+                   one.run_groups({groups[gi]}, kOnlyItem, out, {});
+                   return std::move(out[0]);
+                 });
+    return;
+  }
   SeqFaultSim s3sim(model_.levelizer(), observe_, opt_.simd_width);
   // Realises an in-model detection and (optionally) verifies it end to end.
   // Returns the realised sequence when the detection stands, nullopt when it
@@ -225,7 +316,19 @@ void LocalExec::run_finals(std::span<const std::size_t> final_ids,
                            const std::vector<std::vector<ChainWindow>>& windows,
                            std::span<const std::size_t> todo,
                            std::vector<FinalOutcome>& fdone,
-                           const ItemDone& /*on_done*/) {
+                           const ItemDone& on_done) {
+  if (on_done) {
+    // One item per call, so each final detection is verified before it is
+    // reported.
+    run_reported(model_, faults_, opt_, pool_, "s3.final", todo, fdone,
+                 on_done, [&](LocalExec& one, std::size_t k) {
+                   const std::size_t id[1] = {final_ids[k]};
+                   std::vector<FinalOutcome> out(1);
+                   one.run_finals(id, {windows[k]}, kOnlyItem, out, {});
+                   return std::move(out[0]);
+                 });
+    return;
+  }
   SeqFaultSim s3sim(model_.levelizer(), observe_, opt_.simd_width);
   ReducedModelOptions fopt;
   fopt.frame_slack = opt_.frame_slack;

@@ -2,27 +2,23 @@
 //
 // The pipeline keeps ONE serial skeleton (the control flow that defines the
 // bitwise contract: phase order, merge order, counter charging) and delegates
-// its data-parallel, per-fault/per-group phases to a PipelineExec:
+// its data-parallel, per-fault/per-group phases to a PipelineExec.  LocalExec
+// runs them on the in-process thread pool; a caller may pass a wrapper of it
+// (a tracing decorator, say) as PipelineOptions::exec.
 //
-//   LocalExec          — runs them on the in-process thread pool (the
-//                        historical behaviour; the default),
-//   src/shard          — a coordinator that partitions the same calls across
-//                        forked worker processes and merges the replies.
-//
-// Both strategies produce bitwise-identical PipelineResults because every
-// per-item computation the interface exposes is a pure function of
-// (model, options, item) and every merge the skeleton performs walks items
-// in canonical (fault / group / final-slot) order — the same argument that
-// already makes `--jobs N` deterministic (DESIGN.md §5c).
+// Results are bitwise identical at any job count because every per-item
+// computation the interface exposes is a pure function of (model, options,
+// item) and every merge the skeleton performs walks items in canonical
+// (fault / group / final-slot) order (DESIGN.md §5c).
 //
 // The skeleton also exposes checkpoint/resume seams (PipelineHooks /
 // PipelineResume): safe points fire at phase boundaries, after every PODEM
 // target, and after every completed step-3 group/final item, carrying a
 // consistent read-only view of the partial state.  Resume restores that
-// state and skips the completed work.  Hooks are only honoured when the
-// active exec invokes its ItemDone callbacks on the skeleton thread (the
-// sharded coordinator does; LocalExec runs items on pool threads and never
-// calls them).
+// state and skips the completed work.  Per-item safe points ride on
+// ItemDone, passed only when hooks are set: LocalExec then reports each
+// finished item on the skeleton thread with its charges already folded into
+// the run's registry (DESIGN.md §5l).
 #pragma once
 
 #include <cstdint>
@@ -118,8 +114,8 @@ struct PipelineStopped : std::runtime_error {
 /// vectors, curve, sequences, scalar tallies); the maps carry finished
 /// step-3 items of a partially completed phase.  All recomputable artifacts
 /// (dominance tables, groups, target order) are pure functions of the
-/// restored state and are rebuilt, so a resume at any shard/job count
-/// continues bitwise-identically.
+/// restored state and are rebuilt, so a resume at any job count continues
+/// bitwise-identically.
 struct PipelineResume {
   PipelinePhase phase = PipelinePhase::Classify;
   PipelineResult partial;
@@ -133,10 +129,11 @@ struct PipelineResume {
 /// the run's collapsed fault list; outputs align with the input order.
 class PipelineExec {
  public:
-  /// Per-item completion callback for the step-3 phases, invoked (by execs
-  /// that support it) on the skeleton thread after `done[item]` is final.
-  /// Returning false asks the exec to stop dispatching further items and
-  /// return early with the work completed so far.
+  /// Per-item completion callback for the step-3 phases, invoked on the
+  /// skeleton thread after `done[item]` is final and the item's charges are
+  /// in the run's registry.  Returning false asks the exec to start no
+  /// further item and return early; items in flight are discarded.  An empty
+  /// ItemDone means no reporting (the plain parallel path).
   using ItemDone = std::function<bool(std::size_t)>;
 
   virtual ~PipelineExec() = default;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "bench_circuits/generator.h"
+#include "core/checkpoint.h"
 #include "core/classify.h"
 #include "core/test_export.h"
 #include "fault/comb_fault_sim.h"
@@ -23,9 +24,7 @@ namespace {
 
 constexpr const char* kOracleNames[kNumOracles] = {
     "packed-sim", "ppsfp-seq", "cat3-scanout", "jobs-identity",
-    "export-replay", "dominance", "simd", "shard"};
-
-ShardOracleHook g_shard_oracle_hook = nullptr;
+    "export-replay", "dominance", "simd", "resume"};
 
 /// splitmix64: decorrelates per-iteration / per-oracle seeds so running a
 /// subset of oracles (e.g. during shrinking) draws the same random data as
@@ -276,26 +275,51 @@ std::string oracle_jobs_identity(const ScannedWorld& w,
   return "";
 }
 
-std::string oracle_shard(const ScannedWorld& w, const PipelineResult& serial,
-                         std::mt19937_64 rng) {
-  if (g_shard_oracle_hook == nullptr) {
-    return std::string(kOracleNames[7]) +
-           ": oracle requested but no sharded runner is registered "
-           "(call register_shard_oracle() at startup)";
-  }
-  const int shards = 2 + static_cast<int>(rng() % 3);
-  PipelineResult sharded;
+// Stops a serial run at a random safe point (a pure function of the oracle
+// seed), round-trips the checkpoint through the text format and resumes it
+// at `jobs`: the result must equal the serial run.  A first hooked run at
+// `jobs` counts the safe points and must itself equal the serial run.
+std::string oracle_resume(const ScannedWorld& w, const PipelineResult& serial,
+                          int jobs, std::mt19937_64 rng) {
+  const std::string tag = std::string(kOracleNames[7]) + ": ";
+  const std::uint64_t hash =
+      checkpoint_binding_hash(*w.model, w.faults, fuzz_pipeline_options(1));
+  std::size_t seen = 0, stop_at = 0;  // 0: count only, never stop
+  std::string text;
+  PipelineHooks hooks;
+  hooks.safe_point = [&](const PipelineProgress& pg) {
+    if (++seen != stop_at) return true;
+    text = serialize_checkpoint(make_checkpoint(pg, hash, nullptr));
+    return false;
+  };
+  auto run = [&](int run_jobs, const PipelineResume* rz) {
+    PipelineOptions opt = fuzz_pipeline_options(run_jobs);
+    opt.hooks = rz ? nullptr : &hooks;
+    opt.resume = rz;
+    return run_fsct_pipeline(*w.model, w.faults, opt);
+  };
   try {
-    sharded =
-        g_shard_oracle_hook(*w.model, w.faults, fuzz_pipeline_options(1),
-                            shards);
+    if (std::string d = diff_pipeline_results(serial, run(jobs, nullptr));
+        !d.empty()) {
+      return tag + "hooked run at jobs=" + std::to_string(jobs) + ": " + d;
+    }
+    stop_at = 1 + rng() % seen;
+    seen = 0;
+    try {
+      run(1, nullptr);
+      return tag + "run did not stop at safe point " + std::to_string(stop_at);
+    } catch (const PipelineStopped&) {
+    }
+    const PipelineResume rz =
+        restore_checkpoint(parse_checkpoint(text, "checkpoint"), hash,
+                           w.faults.size(), nullptr, "checkpoint");
+    if (std::string d = diff_pipeline_results(serial, run(jobs, &rz));
+        !d.empty()) {
+      return tag + "resume from safe point " + std::to_string(stop_at) +
+             " at jobs=" + std::to_string(jobs) + ": " + d;
+    }
   } catch (const std::exception& e) {
-    return std::string(kOracleNames[7]) + ": shards=" +
-           std::to_string(shards) + " threw: " + e.what();
-  }
-  if (std::string d = diff_pipeline_results(serial, sharded); !d.empty()) {
-    return std::string(kOracleNames[7]) + ": 1 process vs shards=" +
-           std::to_string(shards) + ": " + d;
+    return tag + "threw: " + e.what();
   }
   return "";
 }
@@ -506,10 +530,6 @@ std::string oracle_simd(const ScannedWorld& w, std::mt19937_64 rng) {
 
 const char* oracle_name(std::size_t index) { return kOracleNames[index]; }
 
-void set_shard_oracle_hook(ShardOracleHook hook) {
-  g_shard_oracle_hook = hook;
-}
-
 unsigned parse_oracle_mask(const std::string& csv) {
   if (csv == "all" || csv.empty()) return kOracleAll;
   unsigned mask = 0;
@@ -644,7 +664,7 @@ std::string selfcheck_circuit(const Netlist& pre_scan,
     if (std::string d = oracle_simd(w, oracle_rng(6)); !d.empty()) return d;
   }
   if (cfg.oracles &
-      (kOracleJobs | kOracleExport | kOracleDominance | kOracleShard)) {
+      (kOracleJobs | kOracleExport | kOracleDominance | kOracleResume)) {
     const PipelineResult serial =
         run_fsct_pipeline(*w.model, w.faults, fuzz_pipeline_options(1));
     if (cfg.oracles & kOracleJobs) {
@@ -668,9 +688,9 @@ std::string selfcheck_circuit(const Netlist& pre_scan,
         return d;
       }
     }
-    if (cfg.oracles & kOracleShard) {
+    if (cfg.oracles & kOracleResume) {
       count(7);
-      if (std::string d = oracle_shard(w, serial, oracle_rng(7));
+      if (std::string d = oracle_resume(w, serial, cfg.jobs, oracle_rng(7));
           !d.empty()) {
         return d;
       }

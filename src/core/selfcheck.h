@@ -30,7 +30,10 @@
 //                     parallel-fault engines must report identical detect
 //                     cycles for random (fault set, sequence, initial state)
 //                     triples at every lane width (64/256/512), for both
-//                     run() and the pairwise run_pairs() layout.
+//                     run() and the pairwise run_pairs() layout,
+//   O8 resume         a checkpointed run stopped at a random safe point must
+//                     resume — after the checkpoint round-trips the text
+//                     format — to the serial result, at any job count.
 //
 // `fsct fuzz` drives these oracles over random circuits from
 // bench_circuits/generator; a failing circuit is greedily shrunk (drop
@@ -55,10 +58,9 @@ inline constexpr unsigned kOracleJobs = 1u << 3;        ///< O4
 inline constexpr unsigned kOracleExport = 1u << 4;      ///< O5
 inline constexpr unsigned kOracleDominance = 1u << 5;   ///< O6
 inline constexpr unsigned kOracleSimd = 1u << 6;        ///< O7
-inline constexpr unsigned kOracleShard = 1u << 7;       ///< O8
-/// `all` = the in-process oracles.  O8 (`shard`) is opt-in by name: it needs
-/// the multi-process runner registered (see set_shard_oracle_hook) and forks
-/// worker processes per run, so it never rides along implicitly.
+inline constexpr unsigned kOracleResume = 1u << 7;      ///< O8
+/// `all` = O1-O7.  O8 (`resume`) is opt-in by name: it adds about two
+/// pipeline runs per circuit, so it never rides along implicitly.
 inline constexpr unsigned kOracleAll =
     kOraclePackedSim | kOraclePpsfpSeq | kOracleCat3 | kOracleJobs |
     kOracleExport | kOracleDominance | kOracleSimd;
@@ -66,17 +68,6 @@ inline constexpr unsigned kOracleAll =
 /// Number of distinct oracles / their short names ("packed-sim", ...).
 inline constexpr std::size_t kNumOracles = 8;
 const char* oracle_name(std::size_t index);
-
-/// O8 `shard`: single-process vs sharded multi-process execution.  The
-/// sharded runtime lives above this layer (src/shard), so binaries opt in by
-/// registering it at startup (register_shard_oracle() in shard/shard.h).
-/// Requesting the oracle without a registered hook is a loud per-circuit
-/// failure, never a silent skip.
-using ShardOracleHook = PipelineResult (*)(const ScanModeModel& model,
-                                           std::span<const Fault> faults,
-                                           const PipelineOptions& opt,
-                                           int shards);
-void set_shard_oracle_hook(ShardOracleHook hook);
 
 /// Parses a comma-separated oracle list ("packed-sim,jobs-identity", "all");
 /// throws std::runtime_error on unknown names.

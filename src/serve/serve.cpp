@@ -29,15 +29,6 @@
 
 namespace fsct {
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 namespace {
 
 /// Integers print as integers (counter values must round-trip bytewise);
@@ -56,10 +47,9 @@ std::string fmt_num(double d) {
 bool normalized_drop(const std::string& key) {
   // The "serve" section is daemon metadata (request_id) stamped into the
   // report at response time: per-daemon state, not a screening result, so
-  // the served-vs-CLI bitwise identity contract must not see it.  "shard"
-  // (process topology + resume provenance) and "pool" (scheduler-dependent
-  // worker stats) are likewise execution-shape metadata, not results.
-  return key == "serve" || key == "shard" || key == "pool" ||
+  // the served-vs-CLI bitwise identity contract must not see it, nor the
+  // scheduler-dependent "pool" worker stats.
+  return key == "serve" || key == "pool" ||
          key.find("seconds") != std::string::npos ||
          key.find("time") != std::string::npos ||
          key.find("passes") != std::string::npos ||

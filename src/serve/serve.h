@@ -74,9 +74,6 @@
 
 namespace fsct {
 
-/// FNV-1a 64-bit over the raw bytes; the compiled-model cache's content hash.
-std::uint64_t fnv1a64(const std::string& s);
-
 /// Canonical comparison form of a run report: parsed, every key containing
 /// "seconds"/"time"/"passes"/"cycles"/"rss" dropped recursively (the width-
 /// sweep normalization: timings, RSS and pass counts legitimately vary),

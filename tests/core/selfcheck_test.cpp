@@ -36,8 +36,8 @@ TEST(Selfcheck, S27CleanBothScanStyles) {
     cfg.jobs = 3;
     std::uint64_t ran[kNumOracles] = {};
     EXPECT_EQ(selfcheck_circuit(s27, cfg, &ran), "");
-    // Every default (in-process) oracle runs; the fork-based shard oracle
-    // is opt-in by name and must NOT run under `all`.
+    // Every default oracle runs; the resume oracle is opt-in by name and
+    // must NOT run under `all`.
     for (std::size_t i = 0; i < kNumOracles; ++i) {
       EXPECT_EQ(ran[i], (kOracleAll >> i) & 1u) << oracle_name(i);
     }

@@ -61,6 +61,8 @@ expect_fail 2 "missing <circuit.bench> operand" -- replay prog.fsct
 expect_fail 2 "unknown option '--frobnicate'" -- test "$TMP/good.bench" --frobnicate
 expect_fail 2 "unknown command" -- frobnicate
 expect_fail 2 "unknown oracle 'bogus'" -- fuzz --iters 1 --oracles bogus
+expect_fail 2 "unknown oracle 'shard'" -- fuzz --iters 1 --oracles shard
+expect_fail 2 "unknown option '--shards'" -- test "$TMP/good.bench" --shards 2
 
 # --- missing / malformed files ---------------------------------------------
 expect_fail 2 "cannot open" -- stats "$TMP/does_not_exist.bench"
@@ -116,6 +118,37 @@ observe g
 cycles 12abc
 EOF
 expect_fail 2 "line 5: invalid cycle count '12abc'" -- replay "$TMP/badprog.fsct" "$TMP/good.bench"
+
+# --- unusable checkpoints ---------------------------------------------------
+# A refused --resume exits 2 before the pipeline runs, so no report is
+# written.
+# expect_no_report <path>
+expect_no_report() {
+  if [[ -e "$1" ]]; then
+    echo "FAIL: a refused resume wrote a report: $1"
+    FAILURES=$((FAILURES + 1))
+    rm -f "$1"
+  fi
+}
+cat > "$TMP/other.bench" <<'EOF'
+INPUT(a)
+INPUT(b)
+OUTPUT(g)
+f = DFF(g)
+g = OR(a, f)
+EOF
+"$FSCT" test "$TMP/good.bench" --jobs 1 --checkpoint "$TMP/good.ckpt" \
+  >/dev/null 2>&1
+head -n 3 "$TMP/good.ckpt" > "$TMP/truncated.ckpt"
+expect_fail 2 "cannot open checkpoint" -- test "$TMP/good.bench" \
+  --resume "$TMP/missing.ckpt" --metrics "$TMP/report.json"
+expect_no_report "$TMP/report.json"
+expect_fail 2 "checkpoint is truncated" -- test "$TMP/good.bench" \
+  --resume "$TMP/truncated.ckpt" --metrics "$TMP/report.json"
+expect_no_report "$TMP/report.json"
+expect_fail 2 "binding hash mismatch" -- test "$TMP/other.bench" \
+  --resume "$TMP/good.ckpt" --metrics "$TMP/report.json"
+expect_no_report "$TMP/report.json"
 
 # --- bench subcommand -------------------------------------------------------
 expect_fail 2 "invalid label"            -- bench run s1488 --label "bad label"

@@ -92,8 +92,8 @@ fi
 # registry records from every executor, so its tests belong in the TSan set;
 # Bench. covers the heartbeat/status-dump monitor thread racing the pipeline;
 # Serve. covers the daemon's reader/worker threads sharing the model cache;
-# Shard. covers the coordinator threads driving forked workers plus the
-# crash-injection killer thread racing the checkpoint writer).
+# Shard. covers checkpointed runs, whose step-3 items fold their private
+# registries into the run's on the skeleton thread while others still run).
 CONCURRENCY_TESTS='Parallel\.|Determinism\.|Obs\.|Selfcheck\.|Bench\.|Serve\.|Shard\.'
 
 if [[ "$TSAN_ONLY" == 0 ]]; then
@@ -139,14 +139,14 @@ EOF
   echo "check.sh: observability smoke OK (trace/metrics/profile JSON parse," \
        "OpenMetrics lint, profile render)"
 
-  # Differential fuzz smoke: a fixed-seed sweep of the seven in-process
+  # Differential fuzz smoke: a fixed-seed sweep of the seven default
   # selfcheck oracles plus a replay of the checked-in minimized corpus (see
-  # core/selfcheck.h), then a shorter sweep of the opt-in O8 shard oracle
-  # (single-process vs a forked 2-4 shard run on every generated circuit).
+  # core/selfcheck.h), then a shorter sweep of the opt-in O8 resume oracle
+  # (stop at a random safe point, resume at --jobs 2, diff against serial).
   ./build/tools/fsct fuzz --seed 1 --iters 100 -o "$OBS_TMP/fuzz"
   ./build/tools/fsct fuzz --corpus tests/integration/fuzz_corpus
-  ./build/tools/fsct fuzz --seed 1 --iters 25 --oracles shard --jobs 2
-  echo "check.sh: fuzz smoke OK (100 in-process + 25 shard iterations" \
+  ./build/tools/fsct fuzz --seed 1 --iters 25 --oracles resume --jobs 2
+  echo "check.sh: fuzz smoke OK (100 default + 25 resume iterations" \
        "+ corpus replay)"
 
   # Bench smoke: run the smallest suite circuit through the statistics-aware
@@ -179,12 +179,12 @@ doc = json.load(open(sys.argv[1]))
 def strip(o):
     if isinstance(o, dict):
         # Mirror of normalized_report() in src/serve/serve.cpp: volatile
-        # substrings plus the per-run stamps ("serve" request_id, "shard"
-        # topology, "pool" sizing) that legitimately vary across runs.
+        # substrings plus the per-run stamps ("serve" request_id, "pool"
+        # sizing) that legitimately vary across runs.
         return {k: strip(v) for k, v in sorted(o.items())
                 if "seconds" not in k and "time" not in k and "passes" not in k
                 and "cycles" not in k and "rss" not in k
-                and k not in ("serve", "shard", "pool")}
+                and k not in ("serve", "pool")}
     if isinstance(o, list):
         return [strip(v) for v in o]
     return o
@@ -392,73 +392,74 @@ EOF
   echo "check.sh: observability overhead gate OK (request log + scraping" \
        "within noise)"
 
-  # Shard smoke: a 3-shard run on s1423 is SIGTERMed mid-run (a test-only env
-  # hook widens the window), must exit 3 with a checkpoint and no partial
-  # report, and the --resume continuation's normalized report must be
-  # byte-identical to a plain single-process CLI run (DESIGN.md §5l).
+  # Checkpoint smoke (DESIGN.md §5l): a checkpointing s1423 run is
+  # interrupted inside step 3 (a test-only failpoint widens the window) and
+  # the --resume continuation's normalized report must be byte-identical to
+  # a plain uninterrupted CLI run.  SIGTERM stops cooperatively at the next
+  # safe point (exit 3, resume hint); SIGKILL of the whole process leaves
+  # only the last checkpoint written.  Neither may leave a report behind.
   # (s1423 exits 1 by design: one fault stays undetected at these budgets.)
   ./build/tools/fsct test s1423 --jobs 2 \
-    --metrics "$OBS_TMP/shard_single.json" > /dev/null || [[ $? == 1 ]]
-  FSCT_TEST_PHASE_SLEEP="s3:2500" ./build/tools/fsct test s1423 --jobs 2 \
-    --shards 3 --checkpoint "$OBS_TMP/shard.ckpt" \
-    --metrics "$OBS_TMP/shard_metrics.json" \
-    > /dev/null 2> "$OBS_TMP/shard_err.log" &
-  SHARD_PID=$!
-  for _ in $(seq 100); do [[ -f "$OBS_TMP/shard.ckpt" ]] && break; sleep 0.1; done
-  [[ -f "$OBS_TMP/shard.ckpt" ]]
-  kill -TERM "$SHARD_PID"
-  SHARD_RC=0
-  wait "$SHARD_PID" || SHARD_RC=$?
-  [[ "$SHARD_RC" == 3 ]]
-  grep -q -- "--resume" "$OBS_TMP/shard_err.log"
-  [[ ! -f "$OBS_TMP/shard_metrics.json" ]]
-  ./build/tools/fsct test s1423 --jobs 2 --shards 3 \
-    --resume "$OBS_TMP/shard.ckpt" \
-    --metrics "$OBS_TMP/shard_metrics.json" > /dev/null || [[ $? == 1 ]]
-  python3 "$OBS_TMP/strip.py" "$OBS_TMP/shard_single.json" \
-    "$OBS_TMP/shard_single.norm"
-  python3 "$OBS_TMP/strip.py" "$OBS_TMP/shard_metrics.json" \
-    "$OBS_TMP/shard_resumed.norm"
-  cmp "$OBS_TMP/shard_single.norm" "$OBS_TMP/shard_resumed.norm"
-  echo "check.sh: shard smoke OK (SIGTERM -> checkpoint -> resume identical" \
-       "to single-process)"
+    --metrics "$OBS_TMP/ckpt_plain.json" > /dev/null || [[ $? == 1 ]]
+  python3 "$OBS_TMP/strip.py" "$OBS_TMP/ckpt_plain.json" \
+    "$OBS_TMP/ckpt_plain.norm"
+  # interrupt_and_resume SIGNAL FAILPOINT EXPECTED_EXIT
+  interrupt_and_resume() {
+    local ck="$OBS_TMP/$1.ckpt" out="$OBS_TMP/$1.json" pid rc=0
+    FSCT_TEST_PHASE_SLEEP="$2" ./build/tools/fsct test s1423 --jobs 2 \
+      --checkpoint "$ck" --metrics "$out" > /dev/null 2> "$OBS_TMP/$1.err" &
+    pid=$!
+    for _ in $(seq 300); do
+      head -n 1 "$ck" 2> /dev/null | grep -q '"phase":"s3.groups"' && break
+      sleep 0.1
+    done
+    kill "-$1" "$pid"
+    wait "$pid" || rc=$?
+    [[ "$rc" == "$3" && ! -f "$out" ]]
+    ./build/tools/fsct test s1423 --jobs 2 --resume "$ck" \
+      --metrics "$out" > /dev/null || [[ $? == 1 ]]
+    python3 "$OBS_TMP/strip.py" "$out" "$OBS_TMP/$1.norm"
+    cmp "$OBS_TMP/ckpt_plain.norm" "$OBS_TMP/$1.norm"
+  }
+  interrupt_and_resume TERM s3:2500 3
+  grep -q -- "--resume" "$OBS_TMP/TERM.err"
+  interrupt_and_resume KILL s3.group:1500 137
+  echo "check.sh: checkpoint smoke OK (SIGTERM and SIGKILL -> resume" \
+       "identical to an uninterrupted run)"
 
-  # Shard overhead gate: the execution layer itself must be free when unused —
-  # a --shards 1 run (one forked worker, full RPC protocol) has to land inside
-  # the bench harness's noise window of a plain in-process run.
-  cat > "$OBS_TMP/shard_bench.py" <<'EOF'
+  # Checkpoint overhead gate: periodic checkpointing (at most one write per
+  # second, the reporting path for every step-3 item) has to land inside the
+  # bench harness's noise window of a plain run.
+  cat > "$OBS_TMP/ckpt_bench.py" <<'EOF'
 import json, subprocess, sys, time
-fsct, out = sys.argv[1], sys.argv[2]
-extra = sys.argv[3:]
+fsct, out, extra = sys.argv[1], sys.argv[2], sys.argv[3:]
 walls = []
 for i in range(8):  # 2 warmup + 6 measured
     t0 = time.monotonic()
     subprocess.run([fsct, "test", "s1494", "--jobs", "2"] + extra,
                    check=True, stdout=subprocess.DEVNULL)
-    if i >= 2:
-        walls.append(time.monotonic() - t0)
-walls.sort()
-doc = {"schema": "fsct-bench-v2",
-       "rows": [{"circuit": "s1494",
-                 "phases": [{"name": "fsct_test",
-                             "wall": {"median": walls[len(walls) // 2]}}]}]}
-json.dump(doc, open(out, "w"))
+    walls.append(time.monotonic() - t0)
+median = sorted(walls[2:])[3]
+json.dump({"schema": "fsct-bench-v2", "rows": [{"circuit": "s1494",
+           "phases": [{"name": "fsct_test", "wall": {"median": median}}]}]},
+          open(out, "w"))
 EOF
-  python3 "$OBS_TMP/shard_bench.py" ./build/tools/fsct \
-    "$OBS_TMP/bench_shard_off.json"
-  python3 "$OBS_TMP/shard_bench.py" ./build/tools/fsct \
-    "$OBS_TMP/bench_shard_on.json" --shards 1
-  ./build/tools/fsct bench compare "$OBS_TMP/bench_shard_off.json" \
-    "$OBS_TMP/bench_shard_on.json"
-  echo "check.sh: shard overhead gate OK (--shards 1 within noise of" \
-       "in-process)"
+  python3 "$OBS_TMP/ckpt_bench.py" ./build/tools/fsct \
+    "$OBS_TMP/bench_ckpt_off.json"
+  python3 "$OBS_TMP/ckpt_bench.py" ./build/tools/fsct \
+    "$OBS_TMP/bench_ckpt_on.json" \
+    --checkpoint "$OBS_TMP/gate.ckpt" --checkpoint-interval 1000
+  ./build/tools/fsct bench compare "$OBS_TMP/bench_ckpt_off.json" \
+    "$OBS_TMP/bench_ckpt_on.json"
+  echo "check.sh: checkpoint overhead gate OK (--checkpoint within noise" \
+       "of a plain run)"
 fi
 
 cmake -B build-tsan -S . -DFSCT_SANITIZE=thread "$@"
 cmake --build build-tsan -j \
   --target parallel_test determinism_test pipeline_test \
            seq_fault_sim_test comb_fault_sim_test classify_test obs_test \
-           selfcheck_test bench_harness_test serve_test shard_test
+           selfcheck_test bench_harness_test serve_test checkpoint_test
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -R "$CONCURRENCY_TESTS"
 

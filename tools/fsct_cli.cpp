@@ -11,8 +11,7 @@
 //
 //   fsct test     <circuit.bench> [--chains N] [--partial permille]
 //                 [--jobs N] [--simd-width W] [-o program.fsct]
-//                 [--shards K] [--checkpoint F] [--checkpoint-interval MS]
-//                 [--resume F]
+//                 [--checkpoint F] [--checkpoint-interval MS] [--resume F]
 //                 [--trace t.json] [--metrics m.json] [--profile p.json]
 //                 [--folded p.folded] [--metrics-out m.prom] [-v]
 //                 (alias: fsct run)
@@ -94,6 +93,7 @@
 #include "bench_circuits/paper_examples.h"
 #include "bench_circuits/suite.h"
 #include "core/bench_harness.h"
+#include "core/checkpoint.h"
 #include "core/diagnose.h"
 #include "core/obs.h"
 #include "core/pipeline.h"
@@ -107,7 +107,6 @@
 #include "serve/http.h"
 #include "serve/net.h"
 #include "serve/serve.h"
-#include "shard/shard.h"
 #include "sim/soa_circuit.h"
 
 namespace {
@@ -139,11 +138,8 @@ struct Args {
   bool verbose = false;      // -v: per-phase progress on stderr
   bool progress = false;     // --progress: heartbeat lines on stderr
   bool no_dominance = false; // --no-dominance: plain target order, no credit
-  // shard / checkpoint (test)
-  int shards = 1;                  // --shards: worker process count
-  std::string checkpoint_path;     // --checkpoint: fsct-ckpt-v1 snapshot file
-  int checkpoint_interval_ms = 0;  // --checkpoint-interval: min ms between
-  std::string resume_path;         // --resume: continue from a checkpoint
+  // --checkpoint F, --checkpoint-interval MS, --resume F (test)
+  CheckpointOptions ckpt;
   // bench
   std::string label = "run";
   std::string note;
@@ -313,14 +309,12 @@ Args parse(int argc, char** argv) {
       a.http_port = static_cast<int>(int_operand(s, 0, 65535));
     } else if (s == "--request-log") {
       a.request_log = operand(s);
-    } else if (s == "--shards") {
-      a.shards = static_cast<int>(int_operand(s, 1, 64));
     } else if (s == "--checkpoint") {
-      a.checkpoint_path = operand(s);
+      a.ckpt.path = operand(s);
     } else if (s == "--checkpoint-interval") {
-      a.checkpoint_interval_ms = static_cast<int>(int_operand(s, 0, 86400000));
+      a.ckpt.interval_ms = static_cast<int>(int_operand(s, 0, 86400000));
     } else if (s == "--resume") {
-      a.resume_path = operand(s);
+      a.ckpt.resume_path = operand(s);
     } else if (s == "--no-shrink") {
       a.no_shrink = true;
     } else if (s == "--no-dominance") {
@@ -454,45 +448,23 @@ int cmd_test(const Args& a) {
       };
     }
   }
-  // Sharded execution kicks in for --shards > 1 and whenever a checkpoint
-  // is involved (--checkpoint/--resume run through the shard runner even at
-  // one shard, so the checkpoint cadence is shard-count independent).
-  const bool use_shards = a.shards > 1 || !a.checkpoint_path.empty() ||
-                          !a.resume_path.empty();
+  install_sigusr1_handler();
+  ObsMonitor::Options mopt;
+  mopt.heartbeat = a.progress;
   PipelineResult r;
-  if (use_shards) {
-    ShardOptions shopt;
-    shopt.shards = a.shards;
-    shopt.checkpoint_path = a.checkpoint_path;
-    shopt.checkpoint_interval_ms = a.checkpoint_interval_ms;
-    shopt.resume_path = a.resume_path;
-    shopt.catch_sigterm = !a.checkpoint_path.empty();
-    // Fork the workers BEFORE any thread exists in this process (the
-    // ObsMonitor heartbeat thread, the pipeline pool): a fork after that
-    // would clone locked mutexes into the children.
-    ShardRunner runner(model, faults, opt, shopt);
-    install_sigusr1_handler();
-    try {
-      ObsMonitor::Options mopt;
-      mopt.heartbeat = a.progress;
-      const ObsMonitor monitor(mopt);
-      r = runner.run();
-    } catch (const PipelineStopped& e) {
-      std::fprintf(stderr, "fsct test: %s\n", e.what());
-      if (!a.checkpoint_path.empty()) {
-        std::fprintf(stderr,
-                     "fsct test: checkpoint written to %s — resume with "
-                     "--resume %s\n",
-                     a.checkpoint_path.c_str(), a.checkpoint_path.c_str());
-      }
-      return 3;
-    }
-  } else {
-    install_sigusr1_handler();
-    ObsMonitor::Options mopt;
-    mopt.heartbeat = a.progress;
+  try {
     const ObsMonitor monitor(mopt);  // SIGUSR1 dumps; heartbeat on --progress
-    r = run_fsct_pipeline(model, faults, opt);
+    if (!a.ckpt.path.empty() || !a.ckpt.resume_path.empty()) {
+      r = run_checkpointed_pipeline(model, faults, opt, a.ckpt);
+    } else {
+      r = run_fsct_pipeline(model, faults, opt);
+    }
+  } catch (const PipelineStopped& e) {  // only a checkpointing run stops
+    std::fprintf(stderr,
+                 "fsct test: %s\nfsct test: checkpoint written to %s — "
+                 "resume with --resume %s\n",
+                 e.what(), a.ckpt.path.c_str(), a.ckpt.path.c_str());
+    return 3;
   }
 
   if (!a.trace_path.empty()) {
@@ -507,25 +479,7 @@ int cmd_test(const Args& a) {
   if (!a.metrics_path.empty()) {
     std::ofstream ms(a.metrics_path);
     if (!ms) throw std::runtime_error("cannot open " + a.metrics_path);
-    if (use_shards) {
-      // Stamp process-topology provenance the same way the daemon stamps
-      // "serve": inside the report, stripped by normalized_report, so the
-      // sharded-vs-single-process bitwise identity contract never sees it.
-      std::ostringstream rs;
-      reg.write_run_report(rs, r, want_attr ? &actx : nullptr);
-      std::string report = rs.str();
-      const std::size_t brace = report.rfind('}');
-      if (brace != std::string::npos) {
-        report.insert(brace, ", \"shard\": {\"shards\": " +
-                                 std::to_string(a.shards) +
-                                 ", \"resumed\": " +
-                                 (a.resume_path.empty() ? "false" : "true") +
-                                 "}");
-      }
-      ms << report;
-    } else {
-      reg.write_run_report(ms, r, want_attr ? &actx : nullptr);
-    }
+    reg.write_run_report(ms, r, want_attr ? &actx : nullptr);
     std::printf("wrote metrics %s\n", a.metrics_path.c_str());
   }
   if (!a.metrics_out.empty()) {
@@ -555,10 +509,8 @@ int cmd_test(const Args& a) {
 
   std::printf("jobs: %u | classify %.3fs | step 2 %.3fs | step 3 %.3fs\n",
               r.jobs_used, r.classify_seconds, r.s2_seconds, r.s3_seconds);
-  if (use_shards) {
-    std::printf("shards: %d worker process%s%s\n", a.shards,
-                a.shards == 1 ? "" : "es",
-                a.resume_path.empty() ? "" : " (resumed from checkpoint)");
+  if (!a.ckpt.resume_path.empty()) {
+    std::printf("resumed from checkpoint %s\n", a.ckpt.resume_path.c_str());
   }
   std::printf("%zu faults | affecting %zu (%.1f%%) | easy %zu (verified %zu) "
               "| hard %zu\n",
@@ -1111,9 +1063,8 @@ void print_usage(std::FILE* f = stdout) {
       "  stats    <circuit.bench>                netlist statistics\n"
       "  scan     <circuit.bench> [-o out.bench] insert a TPI scan chain\n"
       "  test     <circuit.bench> [-o prog.fsct] full screening pipeline\n"
-      "           (alias: run)                   sharded + resumable with\n"
-      "                                          --shards / --checkpoint /\n"
-      "                                          --resume\n"
+      "           (alias: run)                   resumable with\n"
+      "                                          --checkpoint / --resume\n"
       "  replay   <prog.fsct> <circuit.bench>    run a program on a device\n"
       "  diagnose <circuit.bench> --fault NET V  rank chain-defect suspects\n"
       "  selftest                                end-to-end check on s27\n"
@@ -1147,18 +1098,15 @@ void print_usage(std::FILE* f = stdout) {
       "  --no-dominance    disable dominance collapsing, SCOAP target\n"
       "                    ordering and cross-phase detection credit (test);\n"
       "                    restores the plain per-fault targeting order\n"
-      "  --shards K        run the pipeline across K forked worker processes\n"
-      "                    (1-64); the report is bitwise identical to a\n"
-      "                    single-process run at any K (test)\n"
       "  --checkpoint F    write an fsct-ckpt-v1 snapshot to F atomically at\n"
       "                    pipeline safe points and on SIGTERM; a stopped run\n"
       "                    exits 3 with the checkpoint on disk (test)\n"
       "  --checkpoint-interval MS  minimum milliseconds between periodic\n"
       "                    checkpoint writes (default 0 = every safe point)\n"
-      "  --resume F        continue from checkpoint F: completed work is\n"
-      "                    skipped and the final report is bitwise identical\n"
-      "                    to an uninterrupted run; refused if F was written\n"
-      "                    by a different circuit or configuration (test)\n"
+      "  --resume F        continue from checkpoint F at any --jobs: the\n"
+      "                    final report is bitwise identical to an\n"
+      "                    uninterrupted run; refused if F was written by a\n"
+      "                    different circuit or configuration (test)\n"
       "  --trace FILE      write a Chrome trace-event JSON of the run;\n"
       "                    load in chrome://tracing or Perfetto (test)\n"
       "  --metrics FILE    write a structured JSON run report: results,\n"
@@ -1218,8 +1166,8 @@ void print_usage(std::FILE* f = stdout) {
       "                    with --offset K --iters 1)\n"
       "  --oracles LIST    comma-separated subset: packed-sim, ppsfp-seq,\n"
       "                    cat3-scanout, jobs-identity, export-replay,\n"
-      "                    dominance, simd, shard, all (shard — single vs\n"
-      "                    multi-process equivalence — is opt-in by name)\n"
+      "                    dominance, simd, resume, all (resume — stop and\n"
+      "                    resume at a random safe point — is opt-in by name)\n"
       "  --max-gates N     largest random circuit drawn (default 70)\n"
       "  --max-ffs N       largest flip-flop count drawn (default 10)\n"
       "  --no-shrink       emit failing circuits unminimized\n"
@@ -1241,9 +1189,6 @@ int main(int argc, char** argv) {
     print_usage();
     return 0;
   }
-  // The multi-process runner registers itself as the fuzzer's `shard`
-  // oracle; without this call `--oracles shard` is a loud failure.
-  register_shard_oracle();
   try {
     const Args a = parse(argc, argv);
     // Process-wide: every engine constructed with width 0 (the default)
