@@ -5,8 +5,6 @@
 //   <bench> --max-gates N        skip circuits above N gates
 //   <bench> --jobs N             executors for the fault-parallel phases
 //                                (0 = one per hardware thread, 1 = serial)
-//   <bench> --json <path>        also write one machine-readable JSON record
-//                                per circuit (BENCH_*.json trajectories)
 //   <bench> --progress           periodic heartbeat lines on stderr; a
 //                                SIGUSR1 prints a full live status dump
 // With no arguments every suite circuit runs (paper configuration).
@@ -15,11 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench_circuits/suite.h"
@@ -32,8 +28,7 @@ namespace fsct::benchtool {
 
 /// True when argv[i] is an option that consumes the next argument.
 inline bool option_with_value(const char* s) {
-  return std::strcmp(s, "--max-gates") == 0 || std::strcmp(s, "--jobs") == 0 ||
-         std::strcmp(s, "--json") == 0;
+  return std::strcmp(s, "--max-gates") == 0 || std::strcmp(s, "--jobs") == 0;
 }
 
 inline std::vector<SuiteEntry> select_circuits(int argc, char** argv) {
@@ -69,14 +64,6 @@ inline int select_jobs(int argc, char** argv) {
   return 0;
 }
 
-/// --json value, or empty when no JSON output was requested.
-inline std::string select_json_path(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
-  }
-  return {};
-}
-
 /// Host hardware threads (0 when the runtime cannot tell).
 inline unsigned hardware_threads() { return std::thread::hardware_concurrency(); }
 
@@ -90,8 +77,6 @@ inline bool jobs_oversubscribed(unsigned jobs_used) {
 
 /// Warns on stderr when the resolved job count oversubscribes the host —
 /// once per process, not once per circuit (benches call this in a loop).
-/// The per-row `jobs_oversubscribed` JSON field carries the same fact
-/// machine-readably for every record.
 inline void warn_if_oversubscribed(unsigned jobs_used) {
   static bool warned = false;
   if (jobs_oversubscribed(jobs_used) && !warned) {
@@ -111,98 +96,6 @@ inline bool select_progress(int argc, char** argv) {
   }
   return false;
 }
-
-
-/// One JSON object, built field by field in insertion order.
-class JsonObject {
- public:
-  JsonObject& set(const char* key, const std::string& v) {
-    return raw(key, "\"" + escape(v) + "\"");
-  }
-  JsonObject& set(const char* key, const char* v) {
-    return set(key, std::string(v));
-  }
-  JsonObject& set(const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return raw(key, buf);
-  }
-  JsonObject& set(const char* key, std::size_t v) {
-    return raw(key, std::to_string(v));
-  }
-  JsonObject& set(const char* key, int v) {
-    return raw(key, std::to_string(v));
-  }
-  JsonObject& set(const char* key, unsigned v) {
-    return raw(key, std::to_string(v));
-  }
-  /// Nested object / array / preformatted literal.
-  JsonObject& raw(const char* key, const std::string& json) {
-    fields_.emplace_back(key, json);
-    return *this;
-  }
-
-  std::string render() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i) out += ", ";
-      out += "\"" + fields_[i].first + "\": " + fields_[i].second;
-    }
-    return out + "}";
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
-
-/// Adds the standard job-accounting fields to a bench JSON row.
-inline JsonObject& add_jobs_fields(JsonObject& row, unsigned jobs_used) {
-  return row.set("jobs", jobs_used)
-      .set("hardware_concurrency", hardware_threads())
-      .raw("jobs_oversubscribed",
-           jobs_oversubscribed(jobs_used) ? "true" : "false");
-}
-
-/// Collects one JSON record per circuit and writes them as an array.  With an
-/// empty path every call is a no-op, so benches can emit unconditionally.
-class JsonReport {
- public:
-  explicit JsonReport(std::string path) : path_(std::move(path)) {}
-
-  void add(const JsonObject& row) {
-    if (!path_.empty()) rows_.push_back(row.render());
-  }
-
-  /// Writes the array; returns false (with a message) on I/O failure.
-  bool write() const {
-    if (path_.empty()) return true;
-    std::ofstream os(path_);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-      return false;
-    }
-    os << "[\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      os << "  " << rows_[i] << (i + 1 < rows_.size() ? ",\n" : "\n");
-    }
-    os << "]\n";
-    std::printf("wrote %s (%zu records)\n", path_.c_str(), rows_.size());
-    return true;
-  }
-
- private:
-  std::string path_;
-  std::vector<std::string> rows_;
-};
 
 /// One fully prepared circuit: netlist + TPI scan design + scan-mode model.
 struct Prepared {

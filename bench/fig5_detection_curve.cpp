@@ -11,7 +11,6 @@
 
 int main(int argc, char** argv) {
   using namespace fsct;
-  benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   PipelineOptions opt;
   opt.jobs = benchtool::select_jobs(argc, argv);
   benchtool::warn_if_oversubscribed(resolve_jobs(opt.jobs));
@@ -29,25 +28,6 @@ int main(int argc, char** argv) {
   for (const SuiteEntry& e : circuits) {
     const benchtool::Prepared p = benchtool::prepare(e);
     const PipelineResult r = run_fsct_pipeline(*p.model, p.faults, opt);
-    {
-      std::string curve = "[";
-      for (std::size_t i = 0; i < r.detection_curve.size(); ++i) {
-        if (i) curve += ",";
-        curve += std::to_string(r.detection_curve[i]);
-      }
-      curve += "]";
-      benchtool::JsonObject jrow;
-      jrow.set("circuit", e.name);
-      benchtool::add_jobs_fields(jrow, r.jobs_used);
-      json.add(jrow.set("faults", r.total_faults)
-                   .set("detected", r.s2_detected + r.s3_detected)
-                   .raw("phase_seconds", benchtool::JsonObject()
-                                             .set("classify", r.classify_seconds)
-                                             .set("s2", r.s2_seconds)
-                                             .set("s3", r.s3_seconds)
-                                             .render())
-                   .raw("detection_curve", curve));
-    }
     std::printf("Figure 5: %s — detected faults vs simulated vectors\n",
                 e.name.c_str());
     std::printf("%-10s %-10s\n", "#vectors", "#detected");
@@ -68,5 +48,5 @@ int main(int argc, char** argv) {
               static_cast<double>(curve.back() ? curve.back() : 1));
     }
   }
-  return json.write() ? 0 : 1;
+  return 0;
 }

@@ -8,7 +8,6 @@
 
 int main(int argc, char** argv) {
   using namespace fsct;
-  benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   std::cout << "Table 1: test suite\n";
   print_table1_header(std::cout);
   Table1Row total{"total", 0, 0, 0, 0};
@@ -17,17 +16,11 @@ int main(int argc, char** argv) {
     Table1Row r{e.name, p.base_gates, p.nl.dffs().size(), p.faults.size(),
                 p.design.chains.size()};
     print_table1_row(std::cout, r);
-    json.add(benchtool::JsonObject()
-                 .set("circuit", e.name)
-                 .set("gates", r.gates)
-                 .set("ffs", r.ffs)
-                 .set("faults", r.faults)
-                 .set("chains", r.chains));
     total.gates += r.gates;
     total.ffs += r.ffs;
     total.faults += r.faults;
     total.chains += r.chains;
   }
   print_table1_row(std::cout, total);
-  return json.write() ? 0 : 1;
+  return 0;
 }

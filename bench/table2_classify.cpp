@@ -9,12 +9,10 @@
 
 #include "bench/common.h"
 #include "core/classify.h"
-#include "core/obs.h"
 #include "core/report.h"
 
 int main(int argc, char** argv) {
   using namespace fsct;
-  benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   ThreadPool pool(benchtool::select_jobs(argc, argv));
   benchtool::warn_if_oversubscribed(pool.jobs());
   std::cout << "Table 2: finding easy and hard faults (jobs=" << pool.jobs()
@@ -23,10 +21,9 @@ int main(int argc, char** argv) {
   Table2Row total{"total", 0, 0, 0, 0};
   for (const SuiteEntry& e : benchtool::select_circuits(argc, argv)) {
     const benchtool::Prepared p = benchtool::prepare(e);
-    ObsRegistry reg;
     const auto t0 = std::chrono::steady_clock::now();
     const auto infos = ChainFaultClassifier::classify_all_parallel(
-        *p.model, p.faults, pool, &reg);
+        *p.model, p.faults, pool);
     Table2Row r{e.name, p.faults.size(), 0, 0, 0};
     for (const ChainFaultInfo& info : infos) {
       switch (info.category) {
@@ -39,17 +36,6 @@ int main(int argc, char** argv) {
                     std::chrono::steady_clock::now() - t0)
                     .count();
     print_table2_row(std::cout, r);
-    benchtool::JsonObject jrow;
-    jrow.set("circuit", e.name);
-    benchtool::add_jobs_fields(jrow, pool.jobs());
-    json.add(jrow.set("faults", r.total_faults)
-                 .set("easy", r.easy)
-                 .set("hard", r.hard)
-                 .raw("phase_seconds",
-                      benchtool::JsonObject()
-                          .set("classify", r.seconds)
-                          .render())
-                 .raw("counters", reg.counters_json()));
     total.total_faults += r.total_faults;
     total.easy += r.easy;
     total.hard += r.hard;
@@ -58,5 +44,5 @@ int main(int argc, char** argv) {
   print_table2_total(std::cout, total);
   std::cout << "paper shape: easy ~22% of all faults, hard ~3%, "
                "affecting ~25%\n";
-  return json.write() ? 0 : 1;
+  return 0;
 }

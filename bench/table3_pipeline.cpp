@@ -14,7 +14,6 @@
 
 int main(int argc, char** argv) {
   using namespace fsct;
-  benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   PipelineOptions opt;
   opt.jobs = benchtool::select_jobs(argc, argv);
   benchtool::warn_if_oversubscribed(resolve_jobs(opt.jobs));
@@ -35,25 +34,6 @@ int main(int argc, char** argv) {
     const PipelineResult r = run_fsct_pipeline(*p.model, p.faults, opt);
     const Table3Row row = to_table3(e.name, r);
     print_table3_row(std::cout, row);
-    benchtool::JsonObject jrow;
-    jrow.set("circuit", e.name);
-    benchtool::add_jobs_fields(jrow, r.jobs_used);
-    json.add(jrow.set("faults", r.total_faults)
-                 .set("easy", r.easy)
-                 .set("hard", r.hard)
-                 .set("detected", r.s2_detected + r.s3_detected)
-                 .set("s2_detected", r.s2_detected)
-                 .set("s2_vectors", r.s2_vectors)
-                 .set("s3_detected", r.s3_detected)
-                 .set("s3_undetectable", r.s3_undetectable)
-                 .set("s3_undetected", r.s3_undetected)
-                 .raw("phase_seconds",
-                      benchtool::JsonObject()
-                          .set("classify", r.classify_seconds)
-                          .set("s2", r.s2_seconds)
-                          .set("s3", r.s3_seconds)
-                          .render())
-                 .raw("counters", reg.counters_json()));
     total.s2_det += row.s2_det;
     total.s2_undetectable += row.s2_undetectable;
     total.s2_undetected += row.s2_undetected;
@@ -81,5 +61,5 @@ int main(int argc, char** argv) {
                      static_cast<double>(total_affecting ? total_affecting : 1)
               << "% of chain-affecting faults (paper: 0.022%)\n";
   }
-  return json.write() ? 0 : 1;
+  return 0;
 }

@@ -77,8 +77,7 @@ void PairSim::init(std::span<const FaultSite> sites) {
 PairVal PairSim::eval_node(NodeId id) const {
   const NodeId* fins = soa_->fanin(id);
   const std::uint32_t n = soa_->fanin_count(id);
-  Val gin[64], fin[64];
-  if (n > 64) throw std::runtime_error("gate arity > 64");
+  Val gin[kMaxFanin], fin[kMaxFanin];
   bool diverge = has_pin_sites_[id] != 0;
   for (std::uint32_t p = 0; p < n; ++p) {
     gin[p] = values_[fins[p]].g;

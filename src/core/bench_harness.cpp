@@ -392,54 +392,7 @@ void parse_uint_map(const JsonParser& p, const JVal& v,
   json_uint_map(p, v, out);
 }
 
-/// Legacy (PR-1 era) row: flat result fields plus phase_seconds{classify,
-/// s2, s3}.  Becomes a one-rep v2 row with zero-MAD point stats.
-BenchRow parse_v1_row(const JsonParser& p, const JVal& v) {
-  if (v.kind != JVal::Obj) p.fail_at(v.line, "row must be an object");
-  BenchRow row;
-  row.circuit = get_str(p, v, "circuit");
-  if (row.circuit.empty()) {
-    p.fail_at(v.line, "missing required field \"circuit\"");
-  }
-  row.jobs = static_cast<unsigned>(get_num(p, v, "jobs", 1));
-  row.reps = 1;
-  if (const JVal* o = v.find("jobs_oversubscribed");
-      o && o->kind == JVal::Bool) {
-    row.jobs_oversubscribed = o->b;
-  }
-  if (const JVal* ps = v.find("phase_seconds")) {
-    if (ps->kind != JVal::Obj) {
-      p.fail_at(ps->line, "\"phase_seconds\" must be an object");
-    }
-    double total = 0;
-    for (const auto& [k, e] : ps->obj) {
-      if (e.kind != JVal::Num) {
-        p.fail_at(e.line, "phase time must be a number");
-      }
-      BenchPhase ph;
-      ph.name = k;
-      ph.wall.median = ph.wall.min = ph.wall.max = e.num;
-      row.phases.push_back(std::move(ph));
-      total += e.num;
-    }
-    BenchPhase tot;
-    tot.name = "total";
-    tot.wall.median = tot.wall.min = tot.wall.max = total;
-    row.phases.push_back(std::move(tot));
-  }
-  if (const JVal* c = v.find("counters")) parse_uint_map(p, *c, row.counters);
-  static constexpr const char* kResultKeys[] = {
-      "faults", "easy", "hard", "detected", "s2_detected", "s2_vectors",
-      "s3_detected", "s3_undetectable", "s3_undetected"};
-  for (const char* key : kResultKeys) {
-    if (const JVal* e = v.find(key); e && e->kind == JVal::Num) {
-      row.results.emplace_back(key, static_cast<std::uint64_t>(e->num));
-    }
-  }
-  return row;
-}
-
-BenchRow parse_v2_row(const JsonParser& p, const JVal& v) {
+BenchRow parse_row(const JsonParser& p, const JVal& v) {
   if (v.kind != JVal::Obj) p.fail_at(v.line, "row must be an object");
   BenchRow row;
   row.circuit = get_str(p, v, "circuit");
@@ -485,36 +438,18 @@ BenchDocument parse_bench_document(const std::string& json_text,
   JsonParser p(json_text, name);
   const JVal root = p.parse();
 
-  BenchDocument doc;
-  if (root.kind == JVal::Arr) {
-    // v1 shape A: the bare row array the table benches write with --json.
-    doc.schema_version = 1;
-    for (const JVal& r : root.arr) doc.rows.push_back(parse_v1_row(p, r));
-    return doc;
-  }
-  if (root.kind != JVal::Obj) {
-    p.fail_at(root.line, "bench document must be an object or an array");
-  }
-
-  const JVal* schema = root.find("schema");
+  const JVal* schema = root.kind == JVal::Obj ? root.find("schema") : nullptr;
   if (!schema) {
-    // v1 shape B: {"note": ..., "rows": [...]} (the original baseline file).
-    const JVal* rows = root.find("rows");
-    if (!rows || rows->kind != JVal::Arr) {
-      p.fail_at(root.line,
-                "not a bench document: no \"schema\" and no \"rows\" array");
-    }
-    doc.schema_version = 1;
-    doc.note = get_str(p, root, "note");
-    for (const JVal& r : rows->arr) doc.rows.push_back(parse_v1_row(p, r));
-    return doc;
+    p.fail_at(root.line,
+              "not a bench document: unsupported bench schema (no "
+              "\"schema\": \"fsct-bench-v2\" marker)");
   }
   if (schema->kind != JVal::Str || schema->str != "fsct-bench-v2") {
     p.fail_at(schema->line,
               "unsupported bench schema (expected \"fsct-bench-v2\")");
   }
 
-  doc.schema_version = 2;
+  BenchDocument doc;
   doc.label = get_str(p, root, "label");
   doc.note = get_str(p, root, "note");
   doc.reps = static_cast<int>(get_num(p, root, "reps"));
@@ -541,7 +476,7 @@ BenchDocument parse_bench_document(const std::string& json_text,
   if (!rows || rows->kind != JVal::Arr) {
     p.fail_at(root.line, "missing required field \"rows\" (array)");
   }
-  for (const JVal& r : rows->arr) doc.rows.push_back(parse_v2_row(p, r));
+  for (const JVal& r : rows->arr) doc.rows.push_back(parse_row(p, r));
   return doc;
 }
 
@@ -591,8 +526,7 @@ CompareReport compare_bench(const BenchDocument& old_doc,
         " (timings may not be comparable)");
   }
   if (!old_doc.machine.sanitizer.empty() &&
-      old_doc.machine.sanitizer != new_doc.machine.sanitizer &&
-      !(old_doc.schema_version == 1 || new_doc.schema_version == 1)) {
+      old_doc.machine.sanitizer != new_doc.machine.sanitizer) {
     rep.notes.push_back("machine: sanitizer " + old_doc.machine.sanitizer +
                         " -> " + new_doc.machine.sanitizer);
   }

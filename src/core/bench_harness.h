@@ -8,10 +8,8 @@
 //     (nproc, cpufreq governor, compiler, git sha, sanitizer, OS).
 //   * write_bench_json()/read_bench_document() serialize the versioned
 //     `fsct-bench-v2` JSON document (`fsct bench run` writes
-//     BENCH_<label>.json); the reader also accepts the legacy PR-1 era v1
-//     shapes (a bare `--json` row array, or `{"note", "rows": [...]}` with
-//     per-row `phase_seconds`) through a v1->v2 shim so old trajectories
-//     stay comparable.
+//     BENCH_<label>.json), the one bench schema; any other document is
+//     refused as an unsupported schema.
 //   * compare_bench() diffs two documents with a noise-aware threshold: a
 //     phase regresses only when the median delta exceeds
 //     max(rel_threshold * old, mad_k * MAD, abs_floor) — so sub-millisecond
@@ -64,7 +62,7 @@ struct BenchStat {
 BenchStat summarize_samples(std::vector<double> samples);
 
 /// One timed phase of a bench row.  `cpu` is process CPU time over the same
-/// interval; v1 documents have wall only.
+/// interval, when the document recorded it.
 struct BenchPhase {
   std::string name;  ///< "classify", "s2", "s3", "total"
   BenchStat wall;
@@ -88,7 +86,6 @@ struct BenchRow {
 };
 
 struct BenchDocument {
-  int schema_version = 2;  ///< 1 = legacy shim, 2 = fsct-bench-v2
   std::string label;
   std::string note;
   BenchMachine machine;
@@ -129,8 +126,8 @@ BenchDocument run_bench(const BenchRunConfig& cfg);
 /// Serializes a v2 document (pretty-printed, stable field order).
 std::string write_bench_json(const BenchDocument& doc);
 
-/// Parses a bench document (v2 or legacy v1 shapes).  `name` prefixes error
-/// messages; throws BenchParseError.
+/// Parses an `fsct-bench-v2` document.  `name` prefixes error messages;
+/// throws BenchParseError.
 BenchDocument parse_bench_document(const std::string& json_text,
                                    const std::string& name);
 /// Reads and parses `path`; throws BenchParseError (also on I/O failure).

@@ -102,7 +102,7 @@ ChainFaultInfo ChainFaultClassifier::classify(const Fault& f) {
 
   // Fixed-point propagation (crosses flip-flops: a constant D implies a
   // constant Q in steady state; oscillating loops decay to X).
-  Val ins[64];
+  Val ins[kMaxFanin];
   for (std::size_t head = 0; head < worklist_.size(); ++head) {
     const NodeId id = worklist_[head];
     queued_[id] = 0;

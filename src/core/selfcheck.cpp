@@ -18,6 +18,7 @@
 #include "scan/scan_sequences.h"
 #include "scan/tpi.h"
 #include "sim/seq_sim.h"
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 namespace {
@@ -84,43 +85,58 @@ std::string build_world(const Netlist& pre_scan, const SelfcheckConfig& cfg,
   return "";
 }
 
-// ---- O1: packed combinational sim == scalar sim on binary inputs ----------
+// ---- O1: WideSim at every lane width == scalar sim, X allowed on sources --
+
+/// Loads lane k of every source from `scalar[k]`, runs one WideSim<NW> pass
+/// and compares every net of every lane against the scalar values.
+template <int NW>
+std::string packed_vs_scalar(const ScannedWorld& w,
+                             const std::vector<NodeId>& sources,
+                             const std::vector<std::vector<Val>>& scalar) {
+  WideSim<NW> sim(SoaCircuit::compile(*w.lv));
+  for (NodeId s : sources) {
+    for (unsigned k = 0; k < WideVal<NW>::kLanes; ++k) {
+      sim.value(s).set(k, scalar[k][s]);
+    }
+  }
+  sim.run();
+  for (unsigned k = 0; k < WideVal<NW>::kLanes; ++k) {
+    for (NodeId id = 0; id < w.nl.size(); ++id) {
+      const Val packed = sim.value(id).at(k);
+      if (packed != scalar[k][id]) {
+        return std::string(kOracleNames[0]) + ": net " + w.nl.node_name(id) +
+               " lane " + std::to_string(k) + " of " +
+               std::to_string(WideVal<NW>::kLanes) + ": packed=" +
+               val_char(packed) + " serial=" + val_char(scalar[k][id]);
+      }
+    }
+  }
+  return "";
+}
 
 std::string oracle_packed_sim(const ScannedWorld& w, std::mt19937_64 rng) {
   const Netlist& nl = w.nl;
   std::vector<NodeId> sources = nl.inputs();
   for (NodeId ff : nl.dffs()) sources.push_back(ff);
 
-  std::vector<PackedVal> packed(nl.size());
-  std::vector<std::vector<Val>> scalar_src(64,
-                                           std::vector<Val>(sources.size()));
-  for (unsigned k = 0; k < 64; ++k) {
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      const Val v = rand_bit(rng);
-      scalar_src[k][s] = v;
-      packed[sources[s]].set(k, v);
-    }
-  }
-  PackedCombSim psim(*w.lv);
-  psim.run(packed);
-
-  CombSim csim(*w.lv);
-  std::vector<Val> values(nl.size(), Val::X);
-  for (unsigned k = 0; k < 64; ++k) {
-    std::fill(values.begin(), values.end(), Val::X);
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      values[sources[s]] = scalar_src[k][s];
+  // One scalar run per lane of the widest engine; the narrower engines take
+  // the leading lanes.  A quarter of the source values are X.
+  const CombSim csim(*w.lv);
+  std::vector<std::vector<Val>> scalar(WideVal<8>::kLanes,
+                                       std::vector<Val>(nl.size(), Val::X));
+  for (std::vector<Val>& values : scalar) {
+    for (NodeId s : sources) {
+      values[s] = (rng() & 3) == 0 ? Val::X : rand_bit(rng);
     }
     csim.run(values);
-    for (NodeId id = 0; id < nl.size(); ++id) {
-      if (packed[id].at(k) != values[id]) {
-        return std::string(kOracleNames[0]) + ": net " + nl.node_name(id) +
-               " pattern " + std::to_string(k) + ": packed=" +
-               val_char(packed[id].at(k)) + " serial=" + val_char(values[id]);
-      }
-    }
   }
-  return "";
+  if (std::string d = packed_vs_scalar<1>(w, sources, scalar); !d.empty()) {
+    return d;
+  }
+  if (std::string d = packed_vs_scalar<4>(w, sources, scalar); !d.empty()) {
+    return d;
+  }
+  return packed_vs_scalar<8>(w, sources, scalar);
 }
 
 // ---- O2: PPSFP detections of chain-untouched faults reproduce as scan

@@ -6,8 +6,8 @@
 // "re-verify every combinational detection sequentially" — is a differential
 // check; this module promotes that idea into a first-class subsystem:
 //
-//   O1 packed-sim     64-way packed combinational simulation must equal the
-//                     scalar 3-valued simulator on fully binary inputs,
+//   O1 packed-sim     WideSim at 64, 256 and 512 lanes must equal the scalar
+//                     3-valued simulator lane by lane, X sources included,
 //   O2 ppsfp-seq      every PPSFP detection of a chain-untouched fault must
 //                     reproduce when its pattern is converted to a scan
 //                     load + shift-out sequence and fault-simulated serially

@@ -8,12 +8,11 @@
 namespace fsct {
 
 CombFaultSim::CombFaultSim(const Levelizer& lv, std::vector<NodeId> observe)
-    : lv_(lv), observe_(std::move(observe)) {
-  const Netlist& nl = lv_.netlist();
-  observed_net_.assign(nl.size(), 0);
+    : soa_(SoaCircuit::compile(lv)), observe_(std::move(observe)) {
+  observed_net_.assign(soa_->size(), 0);
   for (NodeId n : observe_) {
-    if (nl.type(n) == GateType::Dff) {
-      observed_net_[nl.fanins(n)[0]] = 1;  // observe the D pin's net
+    if (soa_->type(n) == GateType::Dff) {
+      observed_net_[soa_->fanin(n)[0]] = 1;  // observe the D pin's net
     } else {
       observed_net_[n] = 1;
     }
@@ -21,66 +20,65 @@ CombFaultSim::CombFaultSim(const Levelizer& lv, std::vector<NodeId> observe)
 }
 
 CombFaultSim::Scratch CombFaultSim::make_scratch(
-    const std::vector<PackedVal>& good) const {
+    std::span<const WideVal<1>> good) const {
   Scratch s;
-  s.cur = good;
-  s.buckets.resize(static_cast<std::size_t>(lv_.max_level()) + 1);
-  s.queued.assign(lv_.netlist().size(), 0);
+  s.cur.assign(good.begin(), good.end());
+  s.buckets.resize(static_cast<std::size_t>(soa_->max_level()) + 1);
+  s.queued.assign(soa_->size(), 0);
   return s;
 }
 
 std::uint64_t CombFaultSim::simulate_fault(const Fault& f,
-                                           const std::vector<PackedVal>& good,
+                                           std::span<const WideVal<1>> good,
                                            Scratch& s) const {
-  const Netlist& nl = lv_.netlist();
+  using W = WideVal<1>;
+  const SoaCircuit& c = *soa_;
   std::uint64_t det = 0;
 
-  PackedVal ins[64];
+  W ins[kMaxFanin];
   auto eval_cur = [&](NodeId id, const Fault* pin_fault) {
-    const auto fins = nl.fanins(id);
-    if (fins.size() > 64) throw std::runtime_error("gate arity > 64");
-    for (std::size_t p = 0; p < fins.size(); ++p) {
-      ins[p] = s.cur[fins[p]];
-      if (pin_fault && pin_fault->node == id &&
-          pin_fault->pin == static_cast<int>(p)) {
-        ins[p] = PackedVal::broadcast(pin_fault->stuck_one ? Val::One
-                                                           : Val::Zero);
-      }
+    const NodeId* fins = c.fanin(id);
+    const std::uint32_t n = c.fanin_count(id);
+    for (std::uint32_t p = 0; p < n; ++p) ins[p] = s.cur[fins[p]];
+    if (pin_fault) {
+      ins[pin_fault->pin] =
+          W::broadcast(pin_fault->stuck_one ? Val::One : Val::Zero);
     }
-    return eval_gate_packed(nl.type(id), ins, fins.size());
+    return eval_gate_wide<1>(c.type(id), ins, n);
+  };
+
+  auto enqueue = [&](NodeId id) {
+    s.queued[id] = 1;
+    s.buckets[static_cast<std::size_t>(c.level(id))].push_back(id);
   };
 
   // Seed the event queue with the fault site's effect.
-  auto touch = [&](NodeId id, PackedVal v) {
+  auto touch = [&](NodeId id, const W& v) {
     if (v == s.cur[id]) return;
     ++s.events;
     s.cur[id] = v;
     s.dirty.push_back(id);
     if (observed_net_[id]) {
-      det |= (good[id].zero & v.one) | (good[id].one & v.zero);
+      det |= (good[id].zero[0] & v.one[0]) | (good[id].one[0] & v.zero[0]);
     }
-    for (NodeId n : lv_.fanouts(id)) {
-      if (is_combinational(nl.type(n)) && !s.queued[n]) {
-        s.queued[n] = 1;
-        s.buckets[static_cast<std::size_t>(lv_.level(n))].push_back(n);
-      }
+    const NodeId* fo = c.fanout(id);
+    for (std::uint32_t k = 0, n = c.fanout_count(id); k < n; ++k) {
+      if (!s.queued[fo[k]]) enqueue(fo[k]);
     }
   };
 
   const Val sv = f.stuck_one ? Val::One : Val::Zero;
   if (f.pin == -1) {
-    touch(f.node, PackedVal::broadcast(sv));
-  } else if (!s.queued[f.node] && is_combinational(nl.type(f.node))) {
-    s.queued[f.node] = 1;
-    s.buckets[static_cast<std::size_t>(lv_.level(f.node))].push_back(f.node);
-  } else if (nl.type(f.node) == GateType::Dff) {
+    touch(f.node, W::broadcast(sv));
+  } else if (!s.queued[f.node] && is_combinational(c.type(f.node))) {
+    enqueue(f.node);
+  } else if (c.type(f.node) == GateType::Dff) {
     // D-pin fault of a DFF: the observed D net is healthy, but the value
     // captured is stuck.  In the combinational view this is equivalent to
     // observing a constant at that D pin; we model it by direct compare.
-    const NodeId dnet = nl.fanins(f.node)[0];
+    const NodeId dnet = c.fanin(f.node)[0];
     if (observed_net_[dnet]) {
-      const PackedVal g = good[dnet];
-      det |= (sv == Val::One) ? g.zero : g.one;
+      det |= (sv == Val::One) ? good[dnet].zero[0] : good[dnet].one[0];
     }
   }
 
@@ -90,8 +88,8 @@ std::uint64_t CombFaultSim::simulate_fault(const Fault& f,
       const NodeId id = bucket[bi];
       s.queued[id] = 0;
       const bool site = (f.pin >= 0 && f.node == id);
-      PackedVal v = eval_cur(id, site ? &f : nullptr);
-      if (f.pin == -1 && f.node == id) v = PackedVal::broadcast(sv);
+      W v = eval_cur(id, site ? &f : nullptr);
+      if (f.pin == -1 && f.node == id) v = W::broadcast(sv);
       touch(id, v);
     }
     bucket.clear();
@@ -108,35 +106,35 @@ CombFaultSimResult CombFaultSim::run(std::span<const CombPattern> patterns,
                                      ThreadPool* pool,
                                      ObsRegistry* obs) const {
   const ObsSpan run_span(obs, "ppsfp.run");
-  const Netlist& nl = lv_.netlist();
-  const std::size_t n_pi = nl.inputs().size();
-  const std::size_t n_ff = nl.dffs().size();
+  const std::vector<NodeId>& pis = soa_->inputs();
+  const std::vector<NodeId>& ffs = soa_->dffs();
 
   CombFaultSimResult res;
   res.detect_pattern.assign(faults.size(), -1);
 
-  PackedCombSim psim(lv_);
-  std::vector<PackedVal> good(nl.size());
+  WideSim<1> sim(soa_);
+  const std::span<const WideVal<1>> good = sim.values();
 
   for (std::size_t pbase = 0; pbase < patterns.size(); pbase += 64) {
     const std::size_t pchunk = std::min<std::size_t>(64, patterns.size() - pbase);
 
     // Load sources for this block of patterns.
-    for (std::size_t i = 0; i < n_pi; ++i) good[nl.inputs()[i]] = {};
-    for (std::size_t i = 0; i < n_ff; ++i) good[nl.dffs()[i]] = {};
+    const WideVal<1> x = WideVal<1>::broadcast(Val::X);
+    for (NodeId id : pis) sim.value(id) = x;
+    for (NodeId id : ffs) sim.value(id) = x;
     for (std::size_t k = 0; k < pchunk; ++k) {
       const CombPattern& pat = patterns[pbase + k];
-      if (pat.size() != n_pi + n_ff) {
+      if (pat.size() != pis.size() + ffs.size()) {
         throw std::invalid_argument("pattern size != #PI + #FF");
       }
-      for (std::size_t i = 0; i < n_pi; ++i) {
-        good[nl.inputs()[i]].set(static_cast<unsigned>(k), pat[i]);
+      for (std::size_t i = 0; i < pis.size(); ++i) {
+        sim.value(pis[i]).set(static_cast<unsigned>(k), pat[i]);
       }
-      for (std::size_t i = 0; i < n_ff; ++i) {
-        good[nl.dffs()[i]].set(static_cast<unsigned>(k), pat[n_pi + i]);
+      for (std::size_t i = 0; i < ffs.size(); ++i) {
+        sim.value(ffs[i]).set(static_cast<unsigned>(k), pat[pis.size() + i]);
       }
     }
-    psim.run(good);
+    sim.run();
 
     if (obs) obs->add(Ctr::PpsfpBlocks);
     const std::uint64_t valid =

@@ -3,17 +3,22 @@
 // inputs and DFF Q outputs are pattern-controlled sources; primary outputs
 // and DFF D pins are observation points.
 //
-// Patterns are processed 64 at a time; each fault is propagated event-driven
-// through its forward cone only, with dirty-value restore between faults.
+// Patterns are processed 64 at a time on the shared SoA arena: the good
+// machine of each block is one WideSim<1> pass, then each fault is propagated
+// event-driven through its forward cone only (SoA combinational fanouts, in
+// Levelizer order), with dirty-value restore between faults.  The lane width
+// stays at 64 whatever --simd-width says: the step-2 screens are mostly
+// one-pattern blocks, so wider lanes would only carry dead patterns.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/parallel.h"
 #include "fault/fault.h"
-#include "sim/comb_sim.h"
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 
@@ -60,21 +65,20 @@ class CombFaultSim {
   /// Per-executor event-propagation state (good values copied in, dirty nets
   /// restored after every fault).
   struct Scratch {
-    std::vector<PackedVal> cur;
+    std::vector<WideVal<1>> cur;
     std::vector<std::vector<NodeId>> buckets;  // level-indexed event queue
     std::vector<char> queued;
     std::vector<NodeId> dirty;
     std::uint64_t events = 0;  // net updates, flushed to obs per chunk
   };
 
-  Scratch make_scratch(const std::vector<PackedVal>& good) const;
+  Scratch make_scratch(std::span<const WideVal<1>> good) const;
   /// Propagates one fault over the current 64-pattern block; returns the
   /// pattern mask on which an observed net differs from the good machine.
-  std::uint64_t simulate_fault(const Fault& f,
-                               const std::vector<PackedVal>& good,
+  std::uint64_t simulate_fault(const Fault& f, std::span<const WideVal<1>> good,
                                Scratch& s) const;
 
-  const Levelizer& lv_;
+  std::shared_ptr<const SoaCircuit> soa_;
   std::vector<NodeId> observe_;
   std::vector<char> observed_net_;  // net-level observation flags
 };

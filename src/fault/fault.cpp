@@ -21,10 +21,6 @@ Injection to_injection(const Fault& f) {
   return {f.node, f.pin, f.stuck_one ? Val::One : Val::Zero};
 }
 
-PackedInjection to_packed_injection(const Fault& f, std::uint64_t mask) {
-  return {f.node, f.pin, mask, f.stuck_one ? Val::One : Val::Zero};
-}
-
 namespace {
 
 std::vector<int> fanout_counts(const Netlist& nl) {

@@ -14,6 +14,7 @@
 
 #include "netlist/netlist.h"
 #include "sim/comb_sim.h"
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 
@@ -33,8 +34,16 @@ std::string fault_name(const Netlist& nl, const Fault& f);
 /// The simulation injection equivalent to this fault.
 Injection to_injection(const Fault& f);
 
-/// Packed injection forcing this fault on the patterns in `mask`.
-PackedInjection to_packed_injection(const Fault& f, std::uint64_t mask);
+/// The packed injection forcing this fault on one lane of a WideSim<NW>.
+template <int NW>
+WideInjection<NW> to_wide_injection(const Fault& f, unsigned lane) {
+  WideInjection<NW> w;
+  w.node = f.node;
+  w.pin = f.pin;
+  w.value = f.stuck_one ? Val::One : Val::Zero;
+  w.mask[lane >> 6] = 1ull << (lane & 63u);
+  return w;
+}
 
 /// Complete uncollapsed universe: both polarities on every node output and on
 /// every gate/DFF input pin whose driver has more than one fanout connection

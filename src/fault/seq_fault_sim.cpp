@@ -74,16 +74,6 @@ SeqFaultSimResult SeqFaultSim::run_serial(
 namespace {
 
 template <int NW>
-WideInjection<NW> to_wide_injection(const Fault& f, unsigned lane) {
-  WideInjection<NW> w;
-  w.node = f.node;
-  w.pin = f.pin;
-  w.value = f.stuck_one ? Val::One : Val::Zero;
-  w.mask[lane >> 6] = 1ull << (lane & 63u);
-  return w;
-}
-
-template <int NW>
 bool all_zero(const std::uint64_t (&m)[NW]) {
   std::uint64_t acc = 0;
   for (int w = 0; w < NW; ++w) acc |= m[w];

@@ -44,15 +44,19 @@ void arity_range(GateType t, std::size_t& lo, std::size_t& hi) {
       break;
     default:
       lo = 1;
-      hi = static_cast<std::size_t>(-1);
+      hi = kMaxFanin;
       break;
   }
 }
 
-bool arity_ok(GateType t, std::size_t n) {
+/// Empty when `n` fanins are legal for `t`, else why not.
+std::string arity_error(GateType t, std::size_t n) {
   std::size_t lo = 0, hi = 0;
   arity_range(t, lo, hi);
-  return n >= lo && n <= hi;
+  if (n >= lo && n <= hi) return {};
+  return std::to_string(n) + " fanins, want " +
+         (lo == hi ? std::to_string(lo)
+                   : std::to_string(lo) + ".." + std::to_string(hi));
 }
 
 }  // namespace
@@ -64,10 +68,10 @@ NodeId Netlist::add_node(Node n) {
   if (by_name_.contains(n.name)) {
     throw std::invalid_argument("duplicate node name: " + n.name);
   }
-  if (!arity_ok(n.type, n.fanins.size())) {
+  if (std::string err = arity_error(n.type, n.fanins.size()); !err.empty()) {
     throw std::invalid_argument("bad fanin count for " +
                                 std::string(gate_type_name(n.type)) + " " +
-                                n.name);
+                                n.name + ": " + err);
   }
   const NodeId id = static_cast<NodeId>(nodes_.size());
   for (NodeId f : n.fanins) {
@@ -172,8 +176,9 @@ std::size_t Netlist::num_gates() const {
 std::string Netlist::validate() const {
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& nd = nodes_[id];
-    if (!arity_ok(nd.type, nd.fanins.size())) {
-      return "bad arity at node " + nd.name;
+    if (std::string err = arity_error(nd.type, nd.fanins.size());
+        !err.empty()) {
+      return "bad arity at node " + nd.name + ": " + err;
     }
     for (NodeId f : nd.fanins) {
       if (f == kNullNode) return "unconnected fanin at node " + nd.name;

@@ -16,6 +16,7 @@
 // be recomputed after mutation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -30,6 +31,10 @@ using NodeId = std::uint32_t;
 
 /// Sentinel "no node".
 inline constexpr NodeId kNullNode = static_cast<NodeId>(-1);
+
+/// Most fanins one gate may have.  The simulators evaluate a gate from a
+/// fixed on-stack buffer of this size, so Netlist refuses wider gates.
+inline constexpr std::size_t kMaxFanin = 64;
 
 /// Gate/node types.  The combinational set matches what ISCAS'89 .bench files
 /// and a NAND/NOR/NOT technology mapping produce; Mux exists for conventional

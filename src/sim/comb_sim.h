@@ -1,7 +1,8 @@
-// Levelized combinational simulation, scalar (3-valued) and 64-way packed,
-// with stuck-at fault injection hooks.
+// Scalar (3-valued) levelized combinational simulation with stuck-at fault
+// injection hooks: the reference the packed WideSim engine (soa_circuit.h)
+// and the fuzz oracles are checked against.
 //
-// The simulators evaluate every combinational gate of a Levelizer snapshot in
+// The simulator evaluates every combinational gate of a Levelizer snapshot in
 // topological order.  Source nodes (PIs, constants, DFF Q outputs) must be
 // pre-set by the caller in the value vector; constants are overwritten with
 // their fixed value for convenience.
@@ -45,35 +46,6 @@ class CombSim {
 
  private:
   const Levelizer& lv_;
-};
-
-/// Packed injection: forces `value` on the patterns selected by `mask`.
-struct PackedInjection {
-  NodeId node = kNullNode;
-  int pin = -1;
-  std::uint64_t mask = 0;
-  Val value = Val::X;
-};
-
-/// 64-way packed levelized simulator (one bit position = one pattern, or one
-/// faulty machine in parallel-fault mode).
-class PackedCombSim {
- public:
-  explicit PackedCombSim(const Levelizer& lv)
-      : lv_(lv), injected_(lv.netlist().size(), 0) {}
-
-  void run(std::vector<PackedVal>& values,
-           std::span<const PackedInjection> inj = {}) const;
-
-  /// Packed value at a DFF's D pin after run(), honouring pin injections.
-  PackedVal d_value(NodeId dff, const std::vector<PackedVal>& values,
-                    std::span<const PackedInjection> inj = {}) const;
-
-  const Levelizer& levelizer() const { return lv_; }
-
- private:
-  const Levelizer& lv_;
-  mutable std::vector<char> injected_;  // per-node "has injection" scratch
 };
 
 }  // namespace fsct

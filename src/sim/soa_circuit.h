@@ -17,11 +17,14 @@
 //   * cached source lists (inputs, constants, flip-flops and their D
 //     drivers).
 //
-// On top of it, WideVal<NW> generalises PackedVal from one 64-bit word to NW
-// words (NW in {1, 4, 8} -> 64 / 256 / 512 lanes).  The words are plain
-// alignas'd uint64_t arrays: every per-lane operation is a fixed-trip-count
-// loop over NW words, which the compiler auto-vectorises to whatever the
-// target ISA offers — no intrinsics, identical results at every width.
+// On top of it, WideVal<NW> packs NW 64-bit words of ternary lanes
+// (NW in {1, 4, 8} -> 64 / 256 / 512 lanes), and WideSim<NW> is the one
+// packed combinational engine: PPSFP and the test-program export run 64
+// lanes, the sequential fault simulator the width --simd-width picks.  The
+// words are plain alignas'd uint64_t arrays: every per-lane operation is a
+// fixed-trip-count loop over NW words, which the compiler auto-vectorises to
+// whatever the target ISA offers — no intrinsics, identical results at every
+// width.
 //
 // Lane-width selection: the compile-time default FSCT_DEFAULT_SIMD_WIDTH
 // (CMake cache variable FSCT_SIMD_WIDTH) seeds a process-global default that
@@ -126,8 +129,8 @@ class SoaCircuit {
 };
 
 /// NW-word packed ternary value: lane L lives at bit (L % 64) of word
-/// (L / 64) in both planes.  Same encoding and invariant as PackedVal
-/// ((zero & one) == 0 per word); NW == 1 is layout-identical to PackedVal.
+/// (L / 64) in both planes.  Encoding: 0 -> zero bit set, 1 -> one bit set,
+/// X -> neither.  Invariant: (zero & one) == 0 per word.
 template <int NW>
 struct alignas((NW * 8 > 64) ? 64 : NW * 8) WideVal {
   static_assert(NW == 1 || NW == 4 || NW == 8, "lanes = 64 * NW in {64,256,512}");
@@ -272,10 +275,10 @@ WideVal<NW> eval_gate_wide(GateType t, const WideVal<NW>* ins, std::size_t n) {
   }
 }
 
-/// NW-word packed levelized combinational simulator — the W-lane counterpart
-/// of PackedCombSim, on the SoA core.  Same contract: sources are pre-set by
-/// the caller (constants are overwritten for convenience), run() evaluates
-/// every combinational gate, injections force stuck values.
+/// NW-word packed levelized combinational simulator on the SoA core: the
+/// W-lane counterpart of the scalar CombSim.  Same contract: sources are
+/// pre-set by the caller (constants are overwritten for convenience), run()
+/// evaluates every combinational gate, injections force stuck values.
 template <int NW>
 class WideSim {
  public:
@@ -287,6 +290,8 @@ class WideSim {
   const SoaCircuit& circuit() const { return *c_; }
   WideVal<NW>& value(NodeId id) { return values_[id]; }
   const WideVal<NW>& value(NodeId id) const { return values_[id]; }
+  /// Every node's value, indexed by NodeId.
+  const std::vector<WideVal<NW>>& values() const { return values_; }
 
   void run(std::span<const WideInjection<NW>> inj = {}) {
     const SoaCircuit& c = *c_;
@@ -348,7 +353,7 @@ class WideSim {
             if (injected_[id]) { eval_injected(id, inj); continue; }
             const NodeId* f = c.fanin(id);
             const std::uint32_t n = c.fanin_count(id);
-            WideVal<NW> ins[64];
+            WideVal<NW> ins[kMaxFanin];
             for (std::uint32_t k = 0; k < n; ++k) ins[k] = values_[f[k]];
             values_[id] = eval_gate_wide<NW>(r.type, ins, n);
           }
@@ -374,7 +379,7 @@ class WideSim {
     const SoaCircuit& c = *c_;
     const NodeId* f = c.fanin(id);
     const std::uint32_t n = c.fanin_count(id);
-    WideVal<NW> ins[64];
+    WideVal<NW> ins[kMaxFanin];
     for (std::uint32_t k = 0; k < n; ++k) ins[k] = values_[f[k]];
     for (const WideInjection<NW>& i : inj) {
       if (i.node == id && i.pin >= 0) i.force(ins[i.pin]);

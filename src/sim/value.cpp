@@ -22,66 +22,4 @@ Val val_from_char(char c) {
   }
 }
 
-namespace {
-
-PackedVal not_p(PackedVal a) { return {a.one, a.zero}; }
-
-PackedVal and_reduce_p(const PackedVal* ins, std::size_t n) {
-  PackedVal r = PackedVal::broadcast(Val::One);
-  for (std::size_t i = 0; i < n; ++i) {
-    r = {r.zero | ins[i].zero, r.one & ins[i].one};
-  }
-  return r;
-}
-
-PackedVal or_reduce_p(const PackedVal* ins, std::size_t n) {
-  PackedVal r = PackedVal::broadcast(Val::Zero);
-  for (std::size_t i = 0; i < n; ++i) {
-    r = {r.zero & ins[i].zero, r.one | ins[i].one};
-  }
-  return r;
-}
-
-PackedVal xor2_p(PackedVal a, PackedVal b) {
-  return {(a.zero & b.zero) | (a.one & b.one),
-          (a.zero & b.one) | (a.one & b.zero)};
-}
-
-PackedVal xor_reduce_p(const PackedVal* ins, std::size_t n) {
-  PackedVal r = PackedVal::broadcast(Val::Zero);
-  for (std::size_t i = 0; i < n; ++i) r = xor2_p(r, ins[i]);
-  return r;
-}
-
-}  // namespace
-
-PackedVal eval_gate_packed(GateType t, const PackedVal* ins, std::size_t n) {
-  switch (t) {
-    case GateType::Const0: return PackedVal::broadcast(Val::Zero);
-    case GateType::Const1: return PackedVal::broadcast(Val::One);
-    case GateType::Buf:
-    case GateType::Dff: return ins[0];
-    case GateType::Not: return not_p(ins[0]);
-    case GateType::And: return and_reduce_p(ins, n);
-    case GateType::Nand: return not_p(and_reduce_p(ins, n));
-    case GateType::Or: return or_reduce_p(ins, n);
-    case GateType::Nor: return not_p(or_reduce_p(ins, n));
-    case GateType::Xor: return xor_reduce_p(ins, n);
-    case GateType::Xnor: return not_p(xor_reduce_p(ins, n));
-    case GateType::Mux: {
-      const PackedVal s = ins[0], d0 = ins[1], d1 = ins[2];
-      // sel=0 -> d0, sel=1 -> d1, sel=X -> agreement of d0/d1.
-      const std::uint64_t agree0 = d0.zero & d1.zero;
-      const std::uint64_t agree1 = d0.one & d1.one;
-      return {(s.zero & d0.zero) | (s.one & d1.zero) |
-                  (~s.zero & ~s.one & agree0),
-              (s.zero & d0.one) | (s.one & d1.one) |
-                  (~s.zero & ~s.one & agree1)};
-    }
-    case GateType::Input:
-      throw std::logic_error("eval_gate_packed on a primary input");
-  }
-  return {};
-}
-
 }  // namespace fsct

@@ -1,8 +1,9 @@
-// Three-valued logic (0 / 1 / X) and its 64-way packed counterpart.
+// Three-valued logic (0 / 1 / X), scalar.
 //
-// Scalar values drive the classifier, the serial fault simulators and ATPG;
-// packed values drive the parallel-pattern fault simulator (PPSFP), where one
-// PackedVal carries the same net across 64 test patterns.
+// Scalar values drive the classifier, the serial fault simulators and ATPG.
+// The packed lanes every parallel kernel (PPSFP, sequential fault
+// simulation, the test-program export) runs on are WideVal<NW> in
+// sim/soa_circuit.h, with the same 0/1/X semantics per lane.
 #pragma once
 
 #include <cstdint>
@@ -105,39 +106,5 @@ inline Val eval_gate(GateType t, const Val* ins, std::size_t n) {
     default: return Val::X;  // Input: never evaluated
   }
 }
-
-/// 64 ternary values, one bit position per pattern.  Encoding:
-/// 0 -> zero bit set, 1 -> one bit set, X -> neither.  Invariant:
-/// (zero & one) == 0.
-struct PackedVal {
-  std::uint64_t zero = 0;
-  std::uint64_t one = 0;
-
-  static PackedVal broadcast(Val v) {
-    switch (v) {
-      case Val::Zero: return {~0ull, 0};
-      case Val::One: return {0, ~0ull};
-      default: return {0, 0};
-    }
-  }
-  /// Value of pattern `bit`.
-  Val at(unsigned bit) const {
-    const std::uint64_t m = 1ull << bit;
-    if (zero & m) return Val::Zero;
-    if (one & m) return Val::One;
-    return Val::X;
-  }
-  void set(unsigned bit, Val v) {
-    const std::uint64_t m = 1ull << bit;
-    zero &= ~m;
-    one &= ~m;
-    if (v == Val::Zero) zero |= m;
-    if (v == Val::One) one |= m;
-  }
-  friend bool operator==(const PackedVal&, const PackedVal&) = default;
-};
-
-/// Evaluates one gate over 64 packed patterns.
-PackedVal eval_gate_packed(GateType t, const PackedVal* ins, std::size_t n);
 
 }  // namespace fsct

@@ -137,45 +137,30 @@ TEST(Bench, UnsupportedSchemaRejected) {
 }
 
 TEST(Bench, V1ShimReadsLegacyBaseline) {
-  // The original BENCH_baseline.json shape: {"note", "rows": [...]} with
-  // per-row phase_seconds and no schema marker.
-  const std::string v1 = R"({
-    "note": "seed baseline",
-    "rows": [
-      {"circuit": "s1488", "jobs": 1, "faults": 100, "easy": 40, "hard": 2,
-       "jobs_oversubscribed": false,
-       "phase_seconds": {"classify": 0.01, "s2": 0.2, "s3": 0.05},
-       "counters": {"podem_calls": 7}}
-    ]
-  })";
-  const BenchDocument doc = parse_bench_document(v1, "BENCH_baseline.json");
-  EXPECT_EQ(doc.schema_version, 1);
-  EXPECT_EQ(doc.note, "seed baseline");
-  ASSERT_EQ(doc.rows.size(), 1u);
-  const BenchRow& row = doc.rows[0];
-  EXPECT_EQ(row.circuit, "s1488");
-  EXPECT_EQ(row.reps, 1);
-  ASSERT_EQ(row.phases.size(), 4u);  // classify, s2, s3 + synthesized total
-  EXPECT_EQ(row.phases[1].name, "s2");
-  EXPECT_DOUBLE_EQ(row.phases[1].wall.median, 0.2);
-  EXPECT_DOUBLE_EQ(row.phases[1].wall.mad, 0.0);  // single-shot: no spread
-  EXPECT_EQ(row.phases[3].name, "total");
-  EXPECT_NEAR(row.phases[3].wall.median, 0.26, 1e-12);
-  ASSERT_EQ(row.counters.size(), 1u);
-  EXPECT_EQ(row.counters[0].second, 7u);
-  ASSERT_GE(row.results.size(), 3u);
-
-  // Shape B: the bare row array the table benches emit with --json.
-  const BenchDocument arr = parse_bench_document(
-      "[{\"circuit\": \"s953\", \"jobs\": 4,"
-      " \"phase_seconds\": {\"s2\": 1.5}}]",
-      "rows.json");
-  EXPECT_EQ(arr.schema_version, 1);
-  ASSERT_EQ(arr.rows.size(), 1u);
-  EXPECT_EQ(arr.rows[0].jobs, 4u);
-
-  // A v1 document self-compares clean through the shim.
-  EXPECT_EQ(compare_bench(doc, doc).exit_code(), 0);
+  // The legacy shapes carry no "fsct-bench-v2" marker and are refused with
+  // the schema error, anchored to the file they came from.
+  const char* kLegacy[][2] = {
+      // The original BENCH_baseline.json shape: {"note", "rows": [...]}.
+      {"BENCH_baseline.json", R"({
+        "note": "seed baseline",
+        "rows": [{"circuit": "s1488", "jobs": 1,
+                  "phase_seconds": {"classify": 0.01, "s2": 0.2}}]
+      })"},
+      // The bare row array the table benches once wrote.
+      {"rows.json", R"([{"circuit": "s953", "jobs": 4,
+                         "phase_seconds": {"s2": 1.5}}])"},
+  };
+  for (const auto& [name, text] : kLegacy) {
+    try {
+      parse_bench_document(text, name);
+      FAIL() << "expected BenchParseError for " << name;
+    } catch (const BenchParseError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("unsupported bench schema"), std::string::npos)
+          << msg;
+      EXPECT_EQ(msg.rfind(name, 0), 0u) << msg;
+    }
+  }
 }
 
 TEST(Bench, LabelValidation) {
@@ -227,7 +212,6 @@ TEST(Bench, RunTinyCircuitRoundTrips) {
   // Serialize -> parse -> identical structure; self-compare is clean.
   const std::string json = write_bench_json(doc);
   const BenchDocument back = parse_bench_document(json, "roundtrip.json");
-  EXPECT_EQ(back.schema_version, 2);
   EXPECT_EQ(back.label, "test");
   ASSERT_EQ(back.rows.size(), 1u);
   EXPECT_EQ(back.rows[0].phases.size(), row.phases.size());

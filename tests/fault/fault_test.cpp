@@ -27,9 +27,14 @@ TEST(Fault, InjectionConversion) {
   EXPECT_EQ(i.node, 3u);
   EXPECT_EQ(i.pin, 1);
   EXPECT_EQ(i.value, Val::One);
-  const PackedInjection p = to_packed_injection(f, 0xff);
-  EXPECT_EQ(p.mask, 0xffull);
-  EXPECT_EQ(p.value, Val::One);
+  // Lane 70 of a 256-lane engine: word 1, bit 6, and no other lane.
+  const WideInjection<4> w = to_wide_injection<4>(f, 70);
+  EXPECT_EQ(w.node, 3u);
+  EXPECT_EQ(w.pin, 1);
+  EXPECT_EQ(w.value, Val::One);
+  EXPECT_EQ(w.mask[0], 0u);
+  EXPECT_EQ(w.mask[1], 1ull << 6);
+  EXPECT_EQ(w.mask[2] | w.mask[3], 0u);
 }
 
 TEST(Fault, UniverseHasStemFaultsEverywhere) {

@@ -110,6 +110,18 @@ g = MUX(a)
 EOF
 expect_fail 2 "line 3: bad fanin count" -- stats "$TMP/badmux.bench"
 
+# A gate wider than the simulators' 64-fanin bound is refused at parse time
+# (exit 2, not a crash in the scalar simulator during scan insertion).
+for gate in XOR AND; do
+  {
+    for i in $(seq 0 64); do echo "INPUT(i$i)"; done
+    echo "OUTPUT(g)"
+    echo "f = DFF(g)"
+    echo "g = $gate($(seq -s ', ' -f 'i%g' 0 64))"
+  } > "$TMP/wide.bench"
+  expect_fail 2 "bad fanin count for $gate g: 65 fanins" -- test "$TMP/wide.bench"
+done
+
 cat > "$TMP/badprog.fsct" <<'EOF'
 FSCT-TEST 1
 circuit c

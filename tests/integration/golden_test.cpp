@@ -7,6 +7,7 @@
 
 #include "bench_circuits/paper_examples.h"
 #include "bench_circuits/suite.h"
+#include "core/obs.h"
 #include "core/pipeline.h"
 #include "fault/fault.h"
 #include "netlist/stats.h"
@@ -108,16 +109,20 @@ TEST(Golden, FaultCollapsingConformanceTable) {
 }
 
 // End-to-end coverage pins for the fast suite circuits (wall < ~100 ms each;
-// the larger circuits are covered statistically by the bench harness).
+// the larger circuits are covered statistically by the bench harness).  The
+// PPSFP columns pin the step-2 fault-simulation work itself: any change to
+// event propagation order or fault dropping moves them.
 TEST(Golden, SuiteCoverageConformance) {
   struct Pin {
     const char* name;
     std::size_t easy, hard, dom_targets, flush, s2_det, s2_undetectable,
         s3_det, s3_undetected;
+    std::uint64_t ppsfp_blocks, ppsfp_fault_sims, ppsfp_events,
+        ppsfp_faults_dropped;
   };
   const Pin kPins[] = {
-      {"s1488", 49, 42, 27, 21, 20, 1, 0, 0},
-      {"s1494", 40, 10, 8, 2, 1, 5, 2, 0},
+      {"s1488", 49, 42, 27, 21, 20, 1, 0, 0, 2, 22, 376, 20},
+      {"s1494", 40, 10, 8, 2, 1, 5, 2, 0, 2, 13, 134, 3},
   };
   for (const Pin& p : kPins) {
     const SuiteEntry e = suite_entry(p.name);
@@ -133,6 +138,8 @@ TEST(Golden, SuiteCoverageConformance) {
     opt.comb_time_limit_ms = 0;
     opt.seq_time_limit_ms = 0;
     opt.final_time_limit_ms = 0;
+    ObsRegistry obs;
+    opt.obs = &obs;
     const PipelineResult r = run_fsct_pipeline(model, faults, opt);
     EXPECT_EQ(r.easy, p.easy) << p.name;
     EXPECT_EQ(r.easy_verified, p.easy) << p.name;
@@ -143,6 +150,11 @@ TEST(Golden, SuiteCoverageConformance) {
     EXPECT_EQ(r.s2_undetectable, p.s2_undetectable) << p.name;
     EXPECT_EQ(r.s3_detected, p.s3_det) << p.name;
     EXPECT_EQ(r.s3_undetected, p.s3_undetected) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PpsfpBlocks), p.ppsfp_blocks) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PpsfpFaultSims), p.ppsfp_fault_sims) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PpsfpEvents), p.ppsfp_events) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PpsfpFaultsDropped), p.ppsfp_faults_dropped)
+        << p.name;
   }
 }
 

@@ -316,6 +316,51 @@ TEST(Serve, ClientDisconnectBeforeResponseDoesNotKillDaemon) {
   server.join();
 }
 
+// A gate wider than kMaxFanin used to overflow the scalar simulator's stack
+// buffer during scan insertion and take the daemon down.  It is refused at
+// parse time now: the request gets a bad_request naming the gate, and the
+// same daemon serves the next request normally.
+TEST(Serve, OverWideGateIsBadRequestAndDaemonKeepsServing) {
+  const std::string path = testing::TempDir() + "fsct_serve_wide.sock";
+  ServeOptions opt;
+  opt.unix_path = path;
+  opt.log = [](const std::string&) {};
+  ServeServer srv(opt);
+  std::thread server([&] { srv.run(); });
+
+  std::string wide, args;
+  for (std::size_t i = 0; i <= kMaxFanin; ++i) {
+    wide += "INPUT(i" + std::to_string(i) + ")\n";
+    args += (i ? ", i" : "i") + std::to_string(i);
+  }
+  wide += "OUTPUT(g)\nf = DFF(g)\ng = XOR(" + args + ")\n";
+
+  const int fd = connect_unix(path);
+  LineReader lr(fd);
+  auto next_result = [&]() {
+    std::string line;
+    while (lr.next(line)) {
+      if (line.find("\"event\": \"result\"") != std::string::npos) return line;
+    }
+    return std::string();
+  };
+  ASSERT_TRUE(write_line(fd, request_line("wide", wide, 1, false)));
+  const std::string rejected = next_result();
+  EXPECT_NE(rejected.find("\"code\": \"bad_request\""), std::string::npos)
+      << rejected;
+  EXPECT_NE(rejected.find("bad fanin count for XOR g"), std::string::npos)
+      << rejected;
+  ASSERT_TRUE(write_line(fd, request_line("alive", kS27, 1, false)));
+  const std::string result = next_result();
+  EXPECT_NE(result.find("\"status\": \"ok\""), std::string::npos) << result;
+  close(fd);
+
+  srv.request_stop();
+  server.join();
+  EXPECT_EQ(srv.stats().errors, 1u);
+  EXPECT_EQ(srv.stats().ok, 1u);
+}
+
 TEST(Serve, RequestStopDrainsAnIdleServer) {
   const std::string path = testing::TempDir() + "fsct_serve_idle.sock";
   ServeOptions opt;

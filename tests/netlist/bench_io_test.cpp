@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "bench_circuits/paper_examples.h"
 
@@ -97,6 +98,33 @@ TEST(BenchIo, CombinationalCycleFails) {
 TEST(BenchIo, UnknownGateFails) {
   EXPECT_THROW(read_bench_string("INPUT(a)\ny = FROB(a)\n", "x"),
                std::runtime_error);
+}
+
+/// One `g = <type>(i0, ..., i<n-1>)` gate over n fresh inputs.
+std::string wide_gate_bench(const char* type, std::size_t n) {
+  std::string text, args;
+  for (std::size_t i = 0; i < n; ++i) {
+    text += "INPUT(i" + std::to_string(i) + ")\n";
+    args += (i ? ", i" : "i") + std::to_string(i);
+  }
+  return text + "OUTPUT(g)\ng = " + type + "(" + args + ")\n";
+}
+
+TEST(BenchIo, FaninBoundIsEnforced) {
+  for (const char* type : {"AND", "XOR"}) {
+    const Netlist nl = read_bench_string(wide_gate_bench(type, kMaxFanin), "w");
+    EXPECT_EQ(nl.fanins(nl.find("g")).size(), kMaxFanin);
+    try {
+      read_bench_string(wide_gate_bench(type, kMaxFanin + 1), "w");
+      FAIL() << "expected a bad fanin count for " << type;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("bad fanin count for " + std::string(type) + " g"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("65 fanins"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(BenchIo, MuxAndConstParse) {

@@ -6,6 +6,7 @@
 
 #include "bench_circuits/generator.h"
 #include "bench_circuits/paper_examples.h"
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 namespace {
@@ -105,7 +106,7 @@ TEST(CombSim, DValueReadsDffInput) {
   EXPECT_EQ(f.sim.d_value(q, v, inj), k0);
 }
 
-// Property: packed simulation of 64 random patterns agrees with 64 scalar
+// Property: one WideSim<1> pass over 64 random patterns agrees with 64 scalar
 // runs, on random circuits.
 TEST(PackedCombSim, AgreesWithScalarOnRandomCircuits) {
   std::mt19937_64 rng(7);
@@ -116,28 +117,27 @@ TEST(PackedCombSim, AgreesWithScalarOnRandomCircuits) {
     spec.num_pis = 6;
     spec.seed = 100 + static_cast<std::uint64_t>(trial);
     Fixture f(make_random_sequential(spec));
-    PackedCombSim psim(f.lv);
+    WideSim<1> psim(SoaCircuit::compile(f.lv));
 
     std::vector<std::vector<Val>> patterns(64);
-    std::vector<PackedVal> pv(f.nl.size());
     for (unsigned b = 0; b < 64; ++b) {
       patterns[b].assign(f.nl.size(), kX);
       for (NodeId s : f.nl.inputs()) {
         const Val val = (rng() % 3 == 0) ? kX : ((rng() & 1) ? k1 : k0);
         patterns[b][s] = val;
-        pv[s].set(b, val);
+        psim.value(s).set(b, val);
       }
       for (NodeId s : f.nl.dffs()) {
         const Val val = (rng() & 1) ? k1 : k0;
         patterns[b][s] = val;
-        pv[s].set(b, val);
+        psim.value(s).set(b, val);
       }
     }
-    psim.run(pv);
+    psim.run();
     for (unsigned b = 0; b < 64; ++b) {
       f.sim.run(patterns[b]);
       for (NodeId id = 0; id < f.nl.size(); ++id) {
-        ASSERT_EQ(pv[id].at(b), patterns[b][id])
+        ASSERT_EQ(psim.value(id).at(b), patterns[b][id])
             << "node " << f.nl.node_name(id) << " bit " << b;
       }
     }
@@ -149,15 +149,17 @@ TEST(PackedCombSim, MaskedInjectionHitsOnlySelectedPatterns) {
   const NodeId a = nl.add_input("a");
   const NodeId g = nl.add_gate(GateType::Buf, {a}, "g");
   Fixture f(std::move(nl));
-  std::vector<PackedVal> v(f.nl.size());
-  v[a] = PackedVal::broadcast(k1);
-  PackedCombSim psim(f.lv);
-  const PackedInjection inj[] = {{g, -1, 0b101ull, k0}};
-  psim.run(v, inj);
-  EXPECT_EQ(v[g].at(0), k0);
-  EXPECT_EQ(v[g].at(1), k1);
-  EXPECT_EQ(v[g].at(2), k0);
-  EXPECT_EQ(v[g].at(3), k1);
+  WideSim<1> psim(SoaCircuit::compile(f.lv));
+  psim.value(a) = WideVal<1>::broadcast(k1);
+  WideInjection<1> inj;
+  inj.node = g;
+  inj.value = k0;
+  inj.mask[0] = 0b101ull;
+  psim.run(std::span(&inj, 1));
+  EXPECT_EQ(psim.value(g).at(0), k0);
+  EXPECT_EQ(psim.value(g).at(1), k1);
+  EXPECT_EQ(psim.value(g).at(2), k0);
+  EXPECT_EQ(psim.value(g).at(3), k1);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
+
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 namespace {
@@ -83,10 +86,12 @@ TEST(Value, ControllingValues) {
   EXPECT_FALSE(is_inverting(GateType::And));
 }
 
+// The 64-lane packed value is WideVal<1>; these pin its lane encoding and its
+// gate evaluation against the scalar rules.
 TEST(PackedVal, BroadcastAndAt) {
-  const PackedVal z = PackedVal::broadcast(k0);
-  const PackedVal o = PackedVal::broadcast(k1);
-  const PackedVal x = PackedVal::broadcast(kX);
+  const auto z = WideVal<1>::broadcast(k0);
+  const auto o = WideVal<1>::broadcast(k1);
+  const auto x = WideVal<1>::broadcast(kX);
   for (unsigned b : {0u, 31u, 63u}) {
     EXPECT_EQ(z.at(b), k0);
     EXPECT_EQ(o.at(b), k1);
@@ -95,7 +100,7 @@ TEST(PackedVal, BroadcastAndAt) {
 }
 
 TEST(PackedVal, SetIndividualBits) {
-  PackedVal v;
+  auto v = WideVal<1>::broadcast(kX);
   v.set(3, k1);
   v.set(7, k0);
   EXPECT_EQ(v.at(3), k1);
@@ -103,7 +108,7 @@ TEST(PackedVal, SetIndividualBits) {
   EXPECT_EQ(v.at(0), kX);
   v.set(3, kX);
   EXPECT_EQ(v.at(3), kX);
-  EXPECT_EQ(v.zero & v.one, 0u);
+  EXPECT_EQ(v.zero[0] & v.one[0], 0u);
 }
 
 // Property: packed evaluation agrees with scalar evaluation bit-per-bit.
@@ -112,7 +117,8 @@ class PackedAgreement : public ::testing::TestWithParam<GateType> {};
 TEST_P(PackedAgreement, MatchesScalarOnAllTernaryPairs) {
   const GateType t = GetParam();
   const Val vals[3] = {k0, k1, kX};
-  PackedVal a, b;
+  auto a = WideVal<1>::broadcast(kX);
+  auto b = WideVal<1>::broadcast(kX);
   std::vector<std::pair<Val, Val>> cases;
   unsigned bit = 0;
   for (Val va : vals) {
@@ -123,8 +129,8 @@ TEST_P(PackedAgreement, MatchesScalarOnAllTernaryPairs) {
       ++bit;
     }
   }
-  const PackedVal ins[2] = {a, b};
-  const PackedVal out = eval_gate_packed(t, ins, 2);
+  const WideVal<1> ins[2] = {a, b};
+  const WideVal<1> out = eval_gate_wide<1>(t, ins, 2);
   for (unsigned i = 0; i < bit; ++i) {
     const Val sins[2] = {cases[i].first, cases[i].second};
     EXPECT_EQ(out.at(i), eval_gate(t, sins, 2))
@@ -139,7 +145,9 @@ INSTANTIATE_TEST_SUITE_P(AllGateTypes, PackedAgreement,
 
 TEST(PackedVal, MuxPackedMatchesScalarAllTriples) {
   const Val vals[3] = {k0, k1, kX};
-  PackedVal s, d0, d1;
+  auto s = WideVal<1>::broadcast(kX);
+  auto d0 = WideVal<1>::broadcast(kX);
+  auto d1 = WideVal<1>::broadcast(kX);
   std::vector<std::array<Val, 3>> cases;
   unsigned bit = 0;
   for (Val vs : vals) {
@@ -153,8 +161,8 @@ TEST(PackedVal, MuxPackedMatchesScalarAllTriples) {
       }
     }
   }
-  const PackedVal ins[3] = {s, d0, d1};
-  const PackedVal out = eval_gate_packed(GateType::Mux, ins, 3);
+  const WideVal<1> ins[3] = {s, d0, d1};
+  const WideVal<1> out = eval_gate_wide<1>(GateType::Mux, ins, 3);
   for (unsigned i = 0; i < bit; ++i) {
     const Val sins[3] = {cases[i][0], cases[i][1], cases[i][2]};
     EXPECT_EQ(out.at(i), eval_gate(GateType::Mux, sins, 3)) << "bit " << i;
