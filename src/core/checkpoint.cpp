@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -59,47 +60,26 @@ void append_seq(std::ostream& os, const TestSequence& seq) {
   os << ']';
 }
 
-void append_scalars(std::ostream& os, const PipelineResult& r) {
-  os << "{\"total_faults\":" << r.total_faults << ",\"easy\":" << r.easy
-     << ",\"hard\":" << r.hard << ",\"easy_verified\":" << r.easy_verified
-     << ",\"dominance_targets\":" << r.dominance_targets
-     << ",\"flush_detected\":" << r.flush_detected
-     << ",\"ledger_dropped\":" << r.ledger_dropped
-     << ",\"s2_detected\":" << r.s2_detected
-     << ",\"s2_undetectable\":" << r.s2_undetectable
-     << ",\"s2_undetected\":" << r.s2_undetected
-     << ",\"s2_vectors\":" << r.s2_vectors
-     << ",\"s3_circuits_group\":" << r.s3_circuits_group
-     << ",\"s3_circuits_final\":" << r.s3_circuits_final
-     << ",\"s3_detected\":" << r.s3_detected
-     << ",\"s3_undetectable\":" << r.s3_undetectable
-     << ",\"s3_undetected\":" << r.s3_undetected
-     << ",\"s3_unverified\":" << r.s3_unverified << '}';
-}
-
-bool assign_scalar(PipelineResult& r, const std::string& key,
-                   std::uint64_t n) {
-  const std::size_t v = static_cast<std::size_t>(n);
-  if (key == "total_faults") r.total_faults = v;
-  else if (key == "easy") r.easy = v;
-  else if (key == "hard") r.hard = v;
-  else if (key == "easy_verified") r.easy_verified = v;
-  else if (key == "dominance_targets") r.dominance_targets = v;
-  else if (key == "flush_detected") r.flush_detected = v;
-  else if (key == "ledger_dropped") r.ledger_dropped = v;
-  else if (key == "s2_detected") r.s2_detected = v;
-  else if (key == "s2_undetectable") r.s2_undetectable = v;
-  else if (key == "s2_undetected") r.s2_undetected = v;
-  else if (key == "s2_vectors") r.s2_vectors = v;
-  else if (key == "s3_circuits_group") r.s3_circuits_group = v;
-  else if (key == "s3_circuits_final") r.s3_circuits_final = v;
-  else if (key == "s3_detected") r.s3_detected = v;
-  else if (key == "s3_undetectable") r.s3_undetectable = v;
-  else if (key == "s3_undetected") r.s3_undetected = v;
-  else if (key == "s3_unverified") r.s3_unverified = v;
-  else return false;
-  return true;
-}
+// The header's "scalars" object: every PipelineResult tally, in this order.
+constexpr std::pair<const char*, std::size_t PipelineResult::*> kScalars[] = {
+    {"total_faults", &PipelineResult::total_faults},
+    {"easy", &PipelineResult::easy},
+    {"hard", &PipelineResult::hard},
+    {"easy_verified", &PipelineResult::easy_verified},
+    {"dominance_targets", &PipelineResult::dominance_targets},
+    {"flush_detected", &PipelineResult::flush_detected},
+    {"ledger_dropped", &PipelineResult::ledger_dropped},
+    {"s2_detected", &PipelineResult::s2_detected},
+    {"s2_undetectable", &PipelineResult::s2_undetectable},
+    {"s2_undetected", &PipelineResult::s2_undetected},
+    {"s2_vectors", &PipelineResult::s2_vectors},
+    {"s3_circuits_group", &PipelineResult::s3_circuits_group},
+    {"s3_circuits_final", &PipelineResult::s3_circuits_final},
+    {"s3_detected", &PipelineResult::s3_detected},
+    {"s3_undetectable", &PipelineResult::s3_undetectable},
+    {"s3_undetected", &PipelineResult::s3_undetected},
+    {"s3_unverified", &PipelineResult::s3_unverified},
+};
 
 // ---------------------------------------------------------------- parsing --
 
@@ -131,17 +111,17 @@ const JVal& want(const JVal& obj, const char* key, JVal::Kind kind,
   return *v;
 }
 
-std::uint64_t want_u64(const JVal& obj, const char* key,
-                       const std::string& name, std::size_t lineno) {
-  const JVal& v = want(obj, key, JVal::Num, name, lineno);
-  if (v.num < 0) fail(name, lineno, std::string(key) + " is negative");
+std::uint64_t as_u64(const JVal& v, const std::string& name,
+                     std::size_t lineno) {
+  if (v.kind != JVal::Num || v.num < 0 || v.num >= 0x1p64) {
+    fail(name, lineno, "expected count");
+  }
   return static_cast<std::uint64_t>(v.num);
 }
 
-std::uint64_t as_u64(const JVal& v, const std::string& name,
-                     std::size_t lineno) {
-  if (v.kind != JVal::Num || v.num < 0) fail(name, lineno, "expected count");
-  return static_cast<std::uint64_t>(v.num);
+std::uint64_t want_u64(const JVal& obj, const char* key,
+                       const std::string& name, std::size_t lineno) {
+  return as_u64(want(obj, key, JVal::Num, name, lineno), name, lineno);
 }
 
 std::vector<Val> vals_from_string(const std::string& s,
@@ -185,17 +165,22 @@ std::vector<std::size_t> parse_u64_array(const JVal& v,
 }  // namespace
 
 std::string serialize_checkpoint(const CheckpointData& data) {
-  const PipelineResult& r = data.resume.partial;
+  const PipelineState& st = data.state;
+  const PipelineResult& r = st.res;
   std::ostringstream os;
 
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(data.hash));
   os << "{\"schema\":\"" << kSchema << "\",\"hash\":\"" << hex
-     << "\",\"phase\":\"" << pipeline_phase_name(data.resume.phase)
-     << "\",\"podem_next\":" << data.resume.podem_next << ",\"scalars\":";
-  append_scalars(os, r);
-  os << "}\n";
+     << "\",\"phase\":\"" << pipeline_phase_name(st.next)
+     << "\",\"podem_next\":" << st.podem_next << ",\"scalars\":";
+  const char* sep = "{";
+  for (const auto& [key, field] : kScalars) {
+    os << sep << '"' << key << "\":" << r.*field;
+    sep = ",";
+  }
+  os << "}}\n";
 
   os << "{\"section\":\"outcome\",\"data\":\"";
   for (FaultOutcome o : r.outcome) os << static_cast<int>(o);
@@ -214,9 +199,9 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   }
   os << "]}\n";
 
-  if (data.resume.phase == PipelinePhase::S2Podem) {
+  if (st.next == PipelinePhase::S2Podem) {
     os << "{\"section\":\"comb\",\"data\":\"";
-    for (char c : data.resume.comb_covered) os << (c ? '1' : '0');
+    for (char c : st.comb_covered) os << (c ? '1' : '0');
     os << "\"}\n";
   }
 
@@ -272,10 +257,13 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   os << "]}\n";
 
   // Every line before the sentinel counts: the header, the nine fixed
-  // sections, the optional comb section, then one line per group/final.
-  std::size_t lines = 10 + (data.resume.phase == PipelinePhase::S2Podem);
+  // sections, the optional comb section, then one line per finished group
+  // (ascending index) or final (ascending fault id: slot order).
+  std::size_t lines = 10 + (st.next == PipelinePhase::S2Podem);
 
-  for (const auto& [gi, go] : data.resume.groups_done) {
+  for (std::size_t gi = 0; gi < st.groups_done.size(); ++gi) {
+    if (!st.groups_done[gi]) continue;
+    const GroupOutcome& go = st.groups[gi];
     os << "{\"section\":\"group\",\"gi\":" << gi << ",\"detected\":";
     append_u64_array(os, go.detected);
     os << ",\"credited\":";
@@ -289,8 +277,12 @@ std::string serialize_checkpoint(const CheckpointData& data) {
     ++lines;
   }
 
-  for (const auto& [id, fo] : data.resume.finals_done) {
-    os << "{\"section\":\"final\",\"id\":" << id << ",\"verdict\":\""
+  const std::vector<std::size_t> final_ids = open_hard_faults(r);
+  for (std::size_t k = 0; k < st.finals_done.size(); ++k) {
+    if (!st.finals_done[k]) continue;
+    const FinalOutcome& fo = st.finals[k];
+    os << "{\"section\":\"final\",\"id\":" << final_ids.at(k)
+       << ",\"verdict\":\""
        << kVerdictNames[static_cast<std::size_t>(fo.verdict)] << "\",\"seq\":";
     append_seq(os, fo.seq);
     os << "}\n";
@@ -304,23 +296,13 @@ std::string serialize_checkpoint(const CheckpointData& data) {
 CheckpointData parse_checkpoint(const std::string& text,
                                 const std::string& name) {
   CheckpointData data;
-  PipelineResult& r = data.resume.partial;
+  PipelineState& st = data.state;
+  PipelineResult& r = st.res;
 
   std::vector<std::string> lines;
-  {
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      std::size_t nl = text.find('\n', pos);
-      if (nl == std::string::npos) {
-        lines.push_back(text.substr(pos));
-        pos = text.size();
-      } else {
-        lines.push_back(text.substr(pos, nl - pos));
-        pos = nl + 1;
-      }
-    }
-    while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  }
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  while (!lines.empty() && lines.back().empty()) lines.pop_back();
   if (lines.empty()) fail(name, 1, "empty checkpoint file");
 
   // Header.
@@ -338,27 +320,37 @@ CheckpointData parse_checkpoint(const std::string& text,
       fail(name, 1, "malformed binding hash");
     }
     const JVal& phase = want(h, "phase", JVal::Str, name, 1);
-    if (!pipeline_phase_from_name(phase.str, &data.resume.phase)) {
+    if (!pipeline_phase_from_name(phase.str, &st.next)) {
       fail(name, 1, "unknown phase \"" + phase.str + "\"");
     }
-    data.resume.podem_next =
+    st.podem_next =
         static_cast<std::size_t>(want_u64(h, "podem_next", name, 1));
     const JVal& scalars = want(h, "scalars", JVal::Obj, name, 1);
     for (const auto& [key, v] : scalars.obj) {
-      if (!assign_scalar(r, key, as_u64(v, name, 1))) {
+      const auto it =
+          std::find_if(std::begin(kScalars), std::end(kScalars),
+                       [&](const auto& s) { return key == s.first; });
+      if (it == std::end(kScalars)) {
         fail(name, 1, "unknown scalar \"" + key + "\"");
       }
+      r.*(it->second) = static_cast<std::size_t>(as_u64(v, name, 1));
     }
   }
 
   bool saw_end = false;
   bool saw_outcome = false, saw_info = false, saw_comb = false;
+  std::vector<std::size_t> final_ids;  // fault id per final slot
+
   for (std::size_t li = 1; li < lines.size(); ++li) {
     const std::size_t lineno = li + 1;
     if (saw_end) fail(name, lineno, "content after end sentinel");
     const JVal v = parse_line(lines[li], name, lineno);
     if (v.kind != JVal::Obj) fail(name, lineno, "line is not an object");
     const std::string section = want(v, "section", JVal::Str, name, lineno).str;
+    auto counts = [&](const char* key) {
+      return parse_u64_array(want(v, key, JVal::Arr, name, lineno), name,
+                             lineno);
+    };
 
     if (section == "end") {
       const std::uint64_t n = want_u64(v, "lines", name, lineno);
@@ -396,6 +388,9 @@ CheckpointData parse_checkpoint(const std::string& text,
             parse_u64_array(e.arr[2], name, lineno);
         if (flat.size() % 2) fail(name, lineno, "odd location list");
         for (std::size_t k = 0; k + 1 < flat.size(); k += 2) {
+          if (std::max(flat[k], flat[k + 1]) > INT_MAX) {
+            fail(name, lineno, "chain location out of range");
+          }
           ci.locations.push_back(ChainLocation{static_cast<int>(flat[k]),
                                                static_cast<int>(flat[k + 1])});
         }
@@ -404,10 +399,10 @@ CheckpointData parse_checkpoint(const std::string& text,
       saw_info = true;
     } else if (section == "comb") {
       const JVal& d = want(v, "data", JVal::Str, name, lineno);
-      data.resume.comb_covered.clear();
+      st.comb_covered.clear();
       for (char c : d.str) {
         if (c != '0' && c != '1') fail(name, lineno, "bad comb-covered flag");
-        data.resume.comb_covered.push_back(c == '1');
+        st.comb_covered.push_back(c == '1');
       }
       saw_comb = true;
     } else if (section == "vectors") {
@@ -424,9 +419,7 @@ CheckpointData parse_checkpoint(const std::string& text,
         r.vectors.push_back(std::move(sv));
       }
     } else if (section == "curve") {
-      r.detection_curve =
-          parse_u64_array(want(v, "data", JVal::Arr, name, lineno), name,
-                          lineno);
+      r.detection_curve = counts("data");
     } else if (section == "seqs") {
       const JVal& d = want(v, "data", JVal::Arr, name, lineno);
       r.s3_sequences.clear();
@@ -434,9 +427,7 @@ CheckpointData parse_checkpoint(const std::string& text,
         r.s3_sequences.push_back(parse_seq(e, name, lineno));
       }
     } else if (section == "seqfault") {
-      r.s3_sequence_fault =
-          parse_u64_array(want(v, "data", JVal::Arr, name, lineno), name,
-                          lineno);
+      r.s3_sequence_fault = counts("data");
     } else if (section == "counters") {
       const JVal& d = want(v, "data", JVal::Obj, name, lineno);
       for (const auto& [key, cv] : d.obj) {
@@ -449,11 +440,9 @@ CheckpointData parse_checkpoint(const std::string& text,
         CheckpointData::HistState hs;
         hs.name = key;
         hs.sum = want_u64(hv, "sum", name, lineno);
-        for (std::size_t b :
-             parse_u64_array(want(hv, "buckets", JVal::Arr, name, lineno),
-                             name, lineno)) {
-          hs.buckets.push_back(b);
-        }
+        const std::vector<std::size_t> b = parse_u64_array(
+            want(hv, "buckets", JVal::Arr, name, lineno), name, lineno);
+        hs.buckets.assign(b.begin(), b.end());
         data.hists.push_back(std::move(hs));
       }
     } else if (section == "attr") {
@@ -470,15 +459,25 @@ CheckpointData parse_checkpoint(const std::string& text,
         data.attr.push_back(std::move(cell));
       }
     } else if (section == "group") {
+      if (st.next != PipelinePhase::S3Groups) {
+        fail(name, lineno, "group entry outside phase s3.groups");
+      }
       const std::size_t gi =
           static_cast<std::size_t>(want_u64(v, "gi", name, lineno));
-      GroupOutcome go;
-      go.detected =
-          parse_u64_array(want(v, "detected", JVal::Arr, name, lineno), name,
-                          lineno);
-      go.credited =
-          parse_u64_array(want(v, "credited", JVal::Arr, name, lineno), name,
-                          lineno);
+      // A group holds at least one fault: a valid index is below the fault
+      // count (the outcome section precedes the items).
+      if (gi >= r.outcome.size()) {
+        fail(name, lineno, "group index out of range");
+      }
+      if (gi >= st.groups.size()) {
+        st.groups.resize(gi + 1);
+        st.groups_done.resize(gi + 1);
+      }
+      if (st.groups_done[gi]) fail(name, lineno, "duplicate group entry");
+      st.groups_done[gi] = 1;
+      GroupOutcome& go = st.groups[gi];
+      go.detected = counts("detected");
+      go.credited = counts("credited");
       go.unverified =
           static_cast<std::size_t>(want_u64(v, "unverified", name, lineno));
       const JVal& seqs = want(v, "seqs", JVal::Arr, name, lineno);
@@ -488,29 +487,41 @@ CheckpointData parse_checkpoint(const std::string& text,
       if (go.seqs.size() != go.detected.size()) {
         fail(name, lineno, "group sequences misaligned with detections");
       }
-      if (!data.resume.groups_done.emplace(gi, std::move(go)).second) {
-        fail(name, lineno, "duplicate group entry");
-      }
     } else if (section == "final") {
+      if (st.next != PipelinePhase::S3Final) {
+        fail(name, lineno, "final entry outside phase s3.final");
+      }
       const std::size_t id =
           static_cast<std::size_t>(want_u64(v, "id", name, lineno));
       FinalOutcome fo;
       const std::string verdict =
           want(v, "verdict", JVal::Str, name, lineno).str;
-      bool found = false;
-      for (std::size_t k = 0; k < std::size(kVerdictNames); ++k) {
-        if (verdict == kVerdictNames[k]) {
-          fo.verdict = static_cast<FinalVerdict>(k);
-          found = true;
-          break;
-        }
+      const auto vit = std::find(std::begin(kVerdictNames),
+                                 std::end(kVerdictNames), verdict);
+      if (vit == std::end(kVerdictNames)) {
+        fail(name, lineno, "unknown verdict \"" + verdict + "\"");
       }
-      if (!found) fail(name, lineno, "unknown verdict \"" + verdict + "\"");
+      fo.verdict = static_cast<FinalVerdict>(vit - std::begin(kVerdictNames));
       fo.seq = parse_seq(want(v, "seq", JVal::Arr, name, lineno), name,
                          lineno);
-      if (!data.resume.finals_done.emplace(id, std::move(fo)).second) {
-        fail(name, lineno, "duplicate final entry");
+      // A final's slot is its rank among the open hard faults.
+      if (st.finals.empty()) {
+        if (!saw_outcome || !saw_info || r.outcome.size() != r.info.size()) {
+          fail(name, lineno, "final entry before the fault state sections");
+        }
+        final_ids = open_hard_faults(r);
+        st.finals.resize(final_ids.size());
+        st.finals_done.resize(final_ids.size());
       }
+      const auto it = std::lower_bound(final_ids.begin(), final_ids.end(), id);
+      if (it == final_ids.end() || *it != id) {
+        fail(name, lineno, "final fault " + std::to_string(id) +
+                               " is not an open hard fault");
+      }
+      const std::size_t k = static_cast<std::size_t>(it - final_ids.begin());
+      if (st.finals_done[k]) fail(name, lineno, "duplicate final entry");
+      st.finals[k] = std::move(fo);
+      st.finals_done[k] = 1;
     } else {
       fail(name, lineno, "unknown section \"" + section + "\"");
     }
@@ -527,7 +538,7 @@ CheckpointData parse_checkpoint(const std::string& text,
     fail(name, lines.size(),
          "outcome and info sections disagree on fault count");
   }
-  if (data.resume.phase == PipelinePhase::S2Podem && !saw_comb) {
+  if (st.next == PipelinePhase::S2Podem && !saw_comb) {
     fail(name, lines.size(),
          "checkpoint at phase s2.podem is missing the comb section");
   }
@@ -646,28 +657,11 @@ std::uint64_t checkpoint_binding_hash(const ScanModeModel& model,
   return fnv1a64(os.str());
 }
 
-CheckpointData make_checkpoint(const PipelineProgress& pg, std::uint64_t hash,
+CheckpointData make_checkpoint(const PipelineState& st, std::uint64_t hash,
                                const ObsRegistry* obs) {
   CheckpointData ck;
   ck.hash = hash;
-  ck.resume.phase = pg.next;
-  ck.resume.partial = *pg.res;
-  ck.resume.podem_next = pg.podem_next;
-  if (pg.next == PipelinePhase::S2Podem && pg.comb_covered) {
-    ck.resume.comb_covered = *pg.comb_covered;
-  }
-  if (pg.groups && pg.groups_done) {
-    for (std::size_t gi = 0; gi < pg.groups_done->size(); ++gi) {
-      if ((*pg.groups_done)[gi]) ck.resume.groups_done[gi] = (*pg.groups)[gi];
-    }
-  }
-  if (pg.finals && pg.finals_done && pg.final_ids) {
-    for (std::size_t k = 0; k < pg.finals_done->size(); ++k) {
-      if ((*pg.finals_done)[k]) {
-        ck.resume.finals_done[(*pg.final_ids)[k]] = (*pg.finals)[k];
-      }
-    }
-  }
+  ck.state = st;
   if (!obs) return ck;
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     const Ctr c = static_cast<Ctr>(i);
@@ -698,9 +692,9 @@ CheckpointData make_checkpoint(const PipelineProgress& pg, std::uint64_t hash,
   return ck;
 }
 
-PipelineResume restore_checkpoint(CheckpointData data, std::uint64_t hash,
-                                  std::size_t num_faults, ObsRegistry* obs,
-                                  const std::string& name) {
+PipelineState restore_checkpoint(CheckpointData data, std::uint64_t hash,
+                                 std::size_t num_faults, ObsRegistry* obs,
+                                 const std::string& name) {
   if (data.hash != hash) {
     throw std::runtime_error("checkpoint " + name +
                              " was written by a different circuit or "
@@ -718,11 +712,16 @@ PipelineResume restore_checkpoint(CheckpointData data, std::uint64_t hash,
                        h.buckets, h.sum);
     }
     for (const CheckpointData::AttrCell& cell : data.attr) {
+      if (cell.fault >= num_faults) {
+        throw std::runtime_error(
+            "resume: checkpoint " + name +
+            " charges attribution to a fault beyond the fault list");
+      }
       obs->charge(metric_named(cell.column, kNumAttrs, attr_name, name),
                   cell.fault, cell.count);
     }
   }
-  return std::move(data.resume);
+  return std::move(data.state);
 }
 
 PipelineResult run_checkpointed_pipeline(const ScanModeModel& model,
@@ -730,7 +729,7 @@ PipelineResult run_checkpointed_pipeline(const ScanModeModel& model,
                                          const PipelineOptions& opt,
                                          const CheckpointOptions& copt) {
   const std::uint64_t hash = checkpoint_binding_hash(model, faults, opt);
-  PipelineResume resume;
+  PipelineState resume;
   if (!copt.resume_path.empty()) {
     resume = restore_checkpoint(read_checkpoint(copt.resume_path), hash,
                                 faults.size(), opt.obs, copt.resume_path);
@@ -740,7 +739,7 @@ PipelineResult run_checkpointed_pipeline(const ScanModeModel& model,
   std::size_t safepoints = 0;
   auto last = std::chrono::steady_clock::now();
   PipelineHooks hooks;
-  hooks.safe_point = [&](const PipelineProgress& pg) {
+  hooks.safe_point = [&](const PipelineState& st) {
     ++safepoints;
     const bool stop =
         g_stop_requested.load(std::memory_order_relaxed) ||
@@ -750,7 +749,7 @@ PipelineResult run_checkpointed_pipeline(const ScanModeModel& model,
       const auto now = std::chrono::steady_clock::now();
       if (stop || copt.interval_ms <= 0 ||
           now - last >= std::chrono::milliseconds(copt.interval_ms)) {
-        write_checkpoint_atomic(copt.path, make_checkpoint(pg, hash, opt.obs));
+        write_checkpoint_atomic(copt.path, make_checkpoint(st, hash, opt.obs));
         last = now;
       }
     }

@@ -1,13 +1,15 @@
-// Checkpoint/resume (DESIGN.md §5l): the `fsct-ckpt-v1` file, a resumable
-// snapshot of a run taken at a safe point (core/pipeline_exec.h), and
-// run_checkpointed_pipeline, the in-process entry point that writes and
+// Checkpoint/resume (DESIGN.md §5l): the `fsct-ckpt-v1` file, the one
+// serializer of a PipelineState taken at a safe point (core/pipeline_exec.h),
+// and run_checkpointed_pipeline, the in-process entry point that writes and
 // resumes it.  The format is NDJSON, so a truncated file is detected
 // structurally (the `end` sentinel carries the expected line count) and
 // every parse error is anchored "<path>: line N: ...".
 //
 // A checkpoint binds to the run that wrote it through `hash`
 // (checkpoint_binding_hash); resuming against a different circuit or config
-// is refused up front instead of producing a silently wrong report.
+// is refused up front instead of producing a silently wrong report; since
+// the hash does not cover the contents, run_fsct_pipeline also refuses a
+// restored state that does not fit the run before any phase runs.
 //
 // Writes are atomic and durable: `<path>.tmp` is fsynced and renamed over
 // `<path>`, then the directory is fsynced so the rename survives a crash.
@@ -26,13 +28,13 @@
 
 namespace fsct {
 
-/// Everything a checkpoint stores: the pipeline resume state plus the
+/// Everything a checkpoint stores: the pipeline state plus the
 /// observability totals accumulated so far (merged counters, histogram
 /// buckets, per-fault attribution), so a resumed run's report carries the
 /// full-run tallies rather than only the post-resume slice.
 struct CheckpointData {
   std::uint64_t hash = 0;  ///< checkpoint_binding_hash of the writing run
-  PipelineResume resume;
+  PipelineState state;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   struct HistState {
     std::string name;
@@ -75,19 +77,19 @@ std::uint64_t checkpoint_binding_hash(const ScanModeModel& model,
                                       std::span<const Fault> faults,
                                       const PipelineOptions& opt);
 
-/// Snapshot of the run at safe point `pg`: the resume state plus, when `obs`
-/// is set, its counter, histogram and attribution totals.
-CheckpointData make_checkpoint(const PipelineProgress& pg, std::uint64_t hash,
+/// Snapshot of the run at a safe point: the state `st` plus, when `obs` is
+/// set, its counter, histogram and attribution totals.
+CheckpointData make_checkpoint(const PipelineState& st, std::uint64_t hash,
                                const ObsRegistry* obs);
 
 /// Checks `data` against this run's binding `hash`, adds the interrupted
 /// run's observability totals to `obs` (if set; attribution sized for
 /// `num_faults`), and returns the state to pass as PipelineOptions::resume.
-/// Throws std::runtime_error, naming `name`, on a hash mismatch or an
-/// unknown metric name.
-PipelineResume restore_checkpoint(CheckpointData data, std::uint64_t hash,
-                                  std::size_t num_faults, ObsRegistry* obs,
-                                  const std::string& name);
+/// Throws std::runtime_error, naming `name`, on a hash mismatch, an unknown
+/// metric name or an attribution cell beyond `num_faults`.
+PipelineState restore_checkpoint(CheckpointData data, std::uint64_t hash,
+                                 std::size_t num_faults, ObsRegistry* obs,
+                                 const std::string& name);
 
 struct CheckpointOptions {
   std::string path;  ///< checkpoint file; empty = no checkpointing

@@ -31,7 +31,7 @@ namespace fsct {
 class ObsRegistry;
 class PipelineExec;
 struct PipelineHooks;
-struct PipelineResume;
+struct PipelineState;
 
 /// Precomputed per-circuit dominance artifacts for run_fsct_pipeline.  All
 /// three are pure functions of (post-TPI netlist, collapsed fault list), so a
@@ -120,10 +120,10 @@ struct PipelineOptions {
   /// Optional safe-point callback (checkpointing / cooperative stop); see
   /// PipelineHooks.  nullptr = no safe points taken.
   const PipelineHooks* hooks = nullptr;
-  /// Optional restored state from a checkpoint: completed phases are skipped
-  /// and the run continues bitwise-identically.  The caller keeps it alive
-  /// for the duration of the call.
-  const PipelineResume* resume = nullptr;
+  /// Optional restored state from a checkpoint: the run continues from its
+  /// `next` phase bitwise-identically (a misfit throws a "resume:" error).
+  /// The caller keeps it alive for the duration of the call.
+  const PipelineState* resume = nullptr;
 };
 
 /// One scan-mode test vector of the step-2 set: free-PI values plus the

@@ -116,6 +116,17 @@ bool pipeline_phase_from_name(const std::string& name, PipelinePhase* out) {
   return false;
 }
 
+std::vector<std::size_t> open_hard_faults(const PipelineResult& res) {
+  std::vector<std::size_t> open;
+  for (std::size_t j = 0; j < res.info.size(); ++j) {
+    if (res.info[j].category == ChainFaultCategory::Hard &&
+        res.outcome[j] == FaultOutcome::Undetected) {
+      open.push_back(j);
+    }
+  }
+  return open;
+}
+
 std::vector<NodeId> pipeline_observe_list(const ScanModeModel& model) {
   const Netlist& nl = model.levelizer().netlist();
   std::vector<NodeId> observe = nl.outputs();

@@ -11,19 +11,18 @@
 // item) and every merge the skeleton performs walks items in canonical
 // (fault / group / final-slot) order (DESIGN.md §5c).
 //
-// The skeleton also exposes checkpoint/resume seams (PipelineHooks /
-// PipelineResume): safe points fire at phase boundaries, after every PODEM
-// target, and after every completed step-3 group/final item, carrying a
-// consistent read-only view of the partial state.  Resume restores that
-// state and skips the completed work.  Per-item safe points ride on
-// ItemDone, passed only when hooks are set: LocalExec then reports each
-// finished item on the skeleton thread with its charges already folded into
-// the run's registry (DESIGN.md §5l).
+// The skeleton runs the PipelinePhase list in order over one PipelineState,
+// the whole resumable state of a run.  Safe points (PipelineHooks) fire
+// after every phase, after every PODEM target and after every completed
+// step-3 group/final item, each passing the state as it stands; a run
+// resumed from such a state (PipelineOptions::resume) starts at its `next`
+// phase.  Per-item safe points ride on ItemDone, passed only when hooks are
+// set: LocalExec then reports each finished item on the skeleton thread with
+// its charges already folded into the run's registry (DESIGN.md §5l).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -61,9 +60,8 @@ struct FinalOutcome {
   TestSequence seq;  ///< realised sequence when Detected, else empty
 };
 
-/// Phases of the skeleton, in execution order.  A PipelineResume names the
-/// first phase that still has to run; everything before it is restored from
-/// the partial result.
+/// Phases of the skeleton, in execution order.  PipelineState::next names
+/// the first phase that still has to run.
 enum class PipelinePhase : std::uint8_t {
   Classify = 0,
   Step1,        ///< alternating-flush verification of f_easy
@@ -81,48 +79,43 @@ const char* pipeline_phase_name(PipelinePhase p);
 /// Reverse lookup; false on unknown names.
 bool pipeline_phase_from_name(const std::string& name, PipelinePhase* out);
 
-/// Read-only view of the skeleton's partial state at a safe point.  Pointers
-/// reference live skeleton storage and are only valid during the callback.
-/// `groups`/`finals` sections are non-null only while their phase runs.
-struct PipelineProgress {
+/// The whole resumable state of a run, owned by the skeleton and passed to
+/// every safe point.  Everything else the phases use (hard-fault list,
+/// dominance tables, groups, target order) is a pure function of this state
+/// and the run's inputs, rebuilt the same way in a fresh and a resumed run,
+/// so a resume at any job count continues bitwise-identically.
+struct PipelineState {
   PipelinePhase next = PipelinePhase::Classify;  ///< first incomplete phase
-  const PipelineResult* res = nullptr;
-  const std::vector<char>* comb_covered = nullptr;  ///< PPSFP-screened flags
-  std::size_t podem_next = 0;  ///< PODEM targets fully processed (S2Podem)
-  const std::vector<GroupOutcome>* groups = nullptr;  ///< aligned with masks
-  const std::vector<char>* groups_done = nullptr;
-  const std::vector<FinalOutcome>* finals = nullptr;
-  const std::vector<char>* finals_done = nullptr;
-  const std::vector<std::size_t>* final_ids = nullptr;  ///< fault id per slot
+  /// Every result field the completed phases produced (outcomes, info,
+  /// vectors, curve, sequences, tallies).  Step-3 phases merge into it only
+  /// once all their items are done, so it never holds half a phase.
+  PipelineResult res;
+  std::vector<char> comb_covered;  ///< step 2: PPSFP-screened flags per fault
+  std::size_t podem_next = 0;      ///< step 2: PODEM targets fully processed
+  /// Finished items of the step-3 phase in progress (`next`), empty in any
+  /// other phase.  Slot gi of `groups` holds group gi's outcome once
+  /// groups_done[gi] is set; slot k of `finals` belongs to fault
+  /// open_hard_faults(res)[k].
+  std::vector<GroupOutcome> groups;
+  std::vector<char> groups_done;
+  std::vector<FinalOutcome> finals;
+  std::vector<char> finals_done;
 };
+
+/// The hard (category-2) faults still Undetected in `res`, ascending: the
+/// open set each phase after classification works on.
+std::vector<std::size_t> open_hard_faults(const PipelineResult& res);
 
 struct PipelineHooks {
   /// Called at every safe point.  Return false to stop: the skeleton throws
-  /// PipelineStopped immediately after (partial state stays consistent with
-  /// the last callback view, so a checkpoint taken inside the callback can
-  /// be resumed).
-  std::function<bool(const PipelineProgress&)> safe_point;
+  /// PipelineStopped immediately after (the state stays as the callback saw
+  /// it, so a checkpoint taken inside the callback can be resumed).
+  std::function<bool(const PipelineState&)> safe_point;
 };
 
 /// Raised by the skeleton when a safe-point callback returns false.
 struct PipelineStopped : std::runtime_error {
   using std::runtime_error::runtime_error;
-};
-
-/// State restored at the start of a resumed run.  `partial` carries every
-/// PipelineResult field the completed phases produced (outcomes, info,
-/// vectors, curve, sequences, scalar tallies); the maps carry finished
-/// step-3 items of a partially completed phase.  All recomputable artifacts
-/// (dominance tables, groups, target order) are pure functions of the
-/// restored state and are rebuilt, so a resume at any job count continues
-/// bitwise-identically.
-struct PipelineResume {
-  PipelinePhase phase = PipelinePhase::Classify;
-  PipelineResult partial;
-  std::vector<char> comb_covered;
-  std::size_t podem_next = 0;
-  std::map<std::size_t, GroupOutcome> groups_done;   ///< key: group index
-  std::map<std::size_t, FinalOutcome> finals_done;   ///< key: fault id
 };
 
 /// Strategy interface for the data-parallel phases.  `ids` are indices into

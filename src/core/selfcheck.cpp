@@ -303,12 +303,12 @@ std::string oracle_resume(const ScannedWorld& w, const PipelineResult& serial,
   std::size_t seen = 0, stop_at = 0;  // 0: count only, never stop
   std::string text;
   PipelineHooks hooks;
-  hooks.safe_point = [&](const PipelineProgress& pg) {
+  hooks.safe_point = [&](const PipelineState& st) {
     if (++seen != stop_at) return true;
-    text = serialize_checkpoint(make_checkpoint(pg, hash, nullptr));
+    text = serialize_checkpoint(make_checkpoint(st, hash, nullptr));
     return false;
   };
-  auto run = [&](int run_jobs, const PipelineResume* rz) {
+  auto run = [&](int run_jobs, const PipelineState* rz) {
     PipelineOptions opt = fuzz_pipeline_options(run_jobs);
     opt.hooks = rz ? nullptr : &hooks;
     opt.resume = rz;
@@ -326,7 +326,7 @@ std::string oracle_resume(const ScannedWorld& w, const PipelineResult& serial,
       return tag + "run did not stop at safe point " + std::to_string(stop_at);
     } catch (const PipelineStopped&) {
     }
-    const PipelineResume rz =
+    const PipelineState rz =
         restore_checkpoint(parse_checkpoint(text, "checkpoint"), hash,
                            w.faults.size(), nullptr, "checkpoint");
     if (std::string d = diff_pipeline_results(serial, run(jobs, &rz));

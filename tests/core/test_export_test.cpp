@@ -171,29 +171,45 @@ std::vector<TestSequence> random_segments(const Netlist& nl,
   return segs;
 }
 
-TEST(TestExport, SegmentedTraceMatchesScalarOnSuite) {
-  std::vector<std::pair<Netlist, int>> circuits;
-  circuits.emplace_back(iscas_s27(), 1);
-  for (const SuiteEntry& e : paper_suite()) {
-    circuits.emplace_back(build_suite_circuit(e), e.chains);
-  }
+// One case per circuit (s27, then the paper suite at its chain counts), so
+// ctest spreads the suite over its workers.  Each case draws its segments
+// from its own mt19937_64(13).
+struct SuiteCircuit {
+  std::string name;
+};
+void PrintTo(const SuiteCircuit& c, std::ostream* os) { *os << c.name; }
+
+std::vector<SuiteCircuit> suite_circuits() {
+  std::vector<SuiteCircuit> out{{"s27"}};
+  for (const SuiteEntry& e : paper_suite()) out.push_back({e.name});
+  return out;
+}
+
+class TestExport : public ::testing::TestWithParam<SuiteCircuit> {};
+
+TEST_P(TestExport, SegmentedTraceMatchesScalarOnSuite) {
+  const std::string& name = GetParam().name;
+  const bool s27 = name == "s27";
+  const Netlist base =
+      s27 ? iscas_s27() : build_suite_circuit(suite_entry(name));
   std::mt19937_64 rng(13);
-  for (const auto& [base, chains] : circuits) {
-    for (const int permille : {1000, 400}) {
-      Netlist nl = base;
-      TpiOptions topt;
-      topt.num_chains = chains;
-      topt.scan_permille = permille;
-      const ScanDesign d = run_tpi(nl, topt);
-      const Levelizer lv(nl);
-      const ScanModeModel model(lv, d);
-      const TestProgram p = make_test_program(
-          model, random_segments(nl, d, model.max_chain_length(), 4, rng));
-      expect_scalar_exact(lv, p,
-                          nl.name() + " permille " + std::to_string(permille));
-    }
+  for (const int permille : {1000, 400}) {
+    Netlist nl = base;
+    TpiOptions topt;
+    topt.num_chains = s27 ? 1 : suite_entry(name).chains;
+    topt.scan_permille = permille;
+    const ScanDesign d = run_tpi(nl, topt);
+    const Levelizer lv(nl);
+    const ScanModeModel model(lv, d);
+    const TestProgram p = make_test_program(
+        model, random_segments(nl, d, model.max_chain_length(), 4, rng));
+    expect_scalar_exact(lv, p,
+                        nl.name() + " permille " + std::to_string(permille));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Circuits, TestExport,
+                         ::testing::ValuesIn(suite_circuits()));
 
 TEST(TestExport, ChainProgramWithStep3SequencesMatchesScalar) {
   World w(83);

@@ -24,11 +24,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -127,14 +128,13 @@ int first_item_safe_point(const World& w, PipelinePhase phase) {
   int seen = 0;
   int at = 0;
   PipelineHooks hooks;
-  hooks.safe_point = [&](const PipelineProgress& pg) {
+  hooks.safe_point = [&](const PipelineState& st) {
     ++seen;
-    const std::vector<char>* mask =
-        phase == PipelinePhase::S3Groups ? pg.groups_done : pg.finals_done;
-    if (at == 0 && pg.next == phase && mask) {
-      for (char d : *mask) {
-        if (d) at = seen;
-      }
+    const std::vector<char>& mask =
+        phase == PipelinePhase::S3Groups ? st.groups_done : st.finals_done;
+    if (at == 0 && st.next == phase &&
+        std::find(mask.begin(), mask.end(), 1) != mask.end()) {
+      at = seen;
     }
     return true;
   };
@@ -185,16 +185,21 @@ TEST(Shard, OracleFuzzFindsNoDisagreements) {
   }
 }
 
+// The slowest cases run once per starting job count (1 and 4), so ctest can
+// spread them over its workers.
+class Shard : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Jobs, Shard, ::testing::Values(1, 4));
+
 // ---- determinism matrix ----------------------------------------------------
 // jobs {1,4}: a run checkpointing at every safe point diffs empty against the
 // same-jobs plain run, and its normalized run report is byte-identical
 // (counters included — the per-item registries must fold to the exact plain
 // totals).
 
-void run_matrix(const std::string& circuit) {
+void run_matrix(const std::string& circuit, const std::vector<int>& jobs_list) {
   const std::unique_ptr<World> w = suite_world(circuit);
   const std::string ck = ckpt_path("matrix.ckpt");
-  for (int jobs : {1, 4}) {
+  for (int jobs : jobs_list) {
     ObsRegistry reg;
     PipelineOptions opt = base_opt(jobs);
     opt.obs = &reg;
@@ -215,9 +220,9 @@ void run_matrix(const std::string& circuit) {
   }
 }
 
-TEST(Shard, MatrixIdenticalS1423) { run_matrix("s1423"); }
-TEST(Shard, MatrixIdenticalS1488) { run_matrix("s1488"); }
-TEST(Shard, MatrixIdenticalS1494) { run_matrix("s1494"); }
+TEST_P(Shard, MatrixIdenticalS1423) { run_matrix("s1423", {GetParam()}); }
+TEST(Shard, MatrixIdenticalS1488) { run_matrix("s1488", {1, 4}); }
+TEST(Shard, MatrixIdenticalS1494) { run_matrix("s1494", {1, 4}); }
 
 // The fold carries the per-fault attribution ledger too: a run stopped
 // mid-step-3 at jobs 4 and resumed at jobs 1 ends with the plain run's
@@ -383,25 +388,24 @@ TEST(Shard, KilledWorkerIsDetectedAndRunResumes) {
 
 // ---- resume across job counts ----------------------------------------------
 // The binding hash leaves `jobs` out on purpose: a checkpoint written at
-// jobs 1 resumes at jobs 4 and vice versa, each to the report of a plain
-// run at the resuming job count (which the report records).
+// jobs 1 resumes at jobs 4 and vice versa (the parameter is the writing job
+// count), each to the report of a plain run at the resuming job count (which
+// the report records).
 
-TEST(Shard, ResumeAcrossJobCounts) {
+TEST_P(Shard, ResumeAcrossJobCounts) {
+  const int from = GetParam();
+  const int to = from == 1 ? 4 : 1;
   const std::unique_ptr<World> w = suite_world("s1423");
   const std::string ck = ckpt_path("jobs.ckpt");
-  PipelineResult plain;
-  std::map<int, std::string> want;
-  for (int jobs : {1, 4}) {
-    ObsRegistry reg;
-    PipelineOptions opt = base_opt(jobs);
-    opt.obs = &reg;
-    plain = run_fsct_pipeline(*w->model, w->faults, opt);
-    want[jobs] = report_of(reg, plain);
-  }
+  ObsRegistry reg;
+  PipelineOptions opt = base_opt(to);
+  opt.obs = &reg;
+  const PipelineResult plain = run_fsct_pipeline(*w->model, w->faults, opt);
+  const std::string want = report_of(reg, plain);
 
   const int stop_at = first_item_safe_point(*w, PipelinePhase::S3Final);
   ASSERT_GT(stop_at, 0);
-  for (const auto& [from, to] : {std::pair{1, 4}, std::pair{4, 1}}) {
+  {
     ObsRegistry sreg;
     PipelineOptions sopt = base_opt(from);
     sopt.obs = &sreg;
@@ -410,7 +414,7 @@ TEST(Shard, ResumeAcrossJobCounts) {
     co.stop_after_safepoints = stop_at;
     EXPECT_THROW(run_checkpointed_pipeline(*w->model, w->faults, sopt, co),
                  PipelineStopped);
-    EXPECT_EQ(read_checkpoint(ck).resume.phase, PipelinePhase::S3Final);
+    EXPECT_EQ(read_checkpoint(ck).state.next, PipelinePhase::S3Final);
 
     ObsRegistry rreg;
     PipelineOptions ropt = base_opt(to);
@@ -421,7 +425,7 @@ TEST(Shard, ResumeAcrossJobCounts) {
         run_checkpointed_pipeline(*w->model, w->faults, ropt, ro);
     EXPECT_EQ(diff_pipeline_results(plain, resumed), "")
         << "jobs " << from << " -> " << to;
-    EXPECT_EQ(report_of(rreg, resumed), want[to])
+    EXPECT_EQ(report_of(rreg, resumed), want)
         << "jobs " << from << " -> " << to;
   }
 }
@@ -431,9 +435,9 @@ TEST(Shard, ResumeAcrossJobCounts) {
 CheckpointData sample_checkpoint() {
   CheckpointData d;
   d.hash = 0xdeadbeefcafef00dull;
-  d.resume.phase = PipelinePhase::S3Groups;
-  d.resume.podem_next = 2;
-  PipelineResult& r = d.resume.partial;
+  d.state.next = PipelinePhase::S3Groups;
+  d.state.podem_next = 2;
+  PipelineResult& r = d.state.res;
   r.total_faults = 3;
   r.easy = 1;
   r.hard = 2;
@@ -454,11 +458,8 @@ CheckpointData sample_checkpoint() {
   go.detected = {2};
   go.seqs.push_back(TestSequence{{Val::Zero, Val::One}});
   go.unverified = 1;
-  d.resume.groups_done.emplace(0, std::move(go));
-  FinalOutcome fo;
-  fo.verdict = FinalVerdict::Detected;
-  fo.seq = TestSequence{{Val::One, Val::One}};
-  d.resume.finals_done.emplace(2, std::move(fo));
+  d.state.groups = {GroupOutcome{}, std::move(go)};
+  d.state.groups_done = {0, 1};
   d.counters.emplace_back("fsct_classify_faults_total", 3);
   CheckpointData::HistState hs;
   hs.name = "fsct_podem_backtracks";
@@ -475,16 +476,36 @@ TEST(Shard, CheckpointRoundTrips) {
   const CheckpointData b = parse_checkpoint(text, "mem");
   EXPECT_EQ(serialize_checkpoint(b), text);
   EXPECT_EQ(b.hash, a.hash);
-  EXPECT_EQ(b.resume.phase, PipelinePhase::S3Groups);
-  EXPECT_EQ(b.resume.podem_next, 2u);
-  EXPECT_EQ(b.resume.partial.outcome, a.resume.partial.outcome);
-  EXPECT_EQ(b.resume.partial.vectors, a.resume.partial.vectors);
-  EXPECT_EQ(b.resume.partial.s3_sequences, a.resume.partial.s3_sequences);
-  ASSERT_EQ(b.resume.groups_done.size(), 1u);
-  EXPECT_EQ(b.resume.groups_done.at(0).detected, std::vector<std::size_t>{2});
-  ASSERT_EQ(b.resume.finals_done.size(), 1u);
-  EXPECT_EQ(b.resume.finals_done.at(2).verdict, FinalVerdict::Detected);
+  EXPECT_EQ(b.state.next, PipelinePhase::S3Groups);
+  EXPECT_EQ(b.state.podem_next, 2u);
+  EXPECT_EQ(b.state.res.outcome, a.state.res.outcome);
+  EXPECT_EQ(b.state.res.vectors, a.state.res.vectors);
+  EXPECT_EQ(b.state.res.s3_sequences, a.state.res.s3_sequences);
+  // Only finished slots are written; they come back at their index.
+  EXPECT_EQ(b.state.groups_done, (std::vector<char>{0, 1}));
+  EXPECT_EQ(b.state.groups[1].detected, std::vector<std::size_t>{2});
   EXPECT_EQ(b.counters, a.counters);
+
+  // A final slot is written under its fault id and read back into the slot
+  // of that id's rank among the open hard faults (here fault 2 alone).
+  CheckpointData f = a;
+  f.state.next = PipelinePhase::S3Final;
+  f.state.groups.clear();
+  f.state.groups_done.clear();
+  f.state.res.outcome[2] = FaultOutcome::Undetected;
+  FinalOutcome fo;
+  fo.verdict = FinalVerdict::Detected;
+  fo.seq = TestSequence{{Val::One, Val::One}};
+  f.state.finals = {fo};
+  f.state.finals_done = {1};
+  const std::string ftext = serialize_checkpoint(f);
+  EXPECT_NE(ftext.find("{\"section\":\"final\",\"id\":2,"), std::string::npos)
+      << ftext;
+  const CheckpointData g = parse_checkpoint(ftext, "mem");
+  EXPECT_EQ(serialize_checkpoint(g), ftext);
+  ASSERT_EQ(g.state.finals_done, std::vector<char>{1});
+  EXPECT_EQ(g.state.finals[0].verdict, FinalVerdict::Detected);
+  EXPECT_EQ(g.state.finals[0].seq, fo.seq);
 
   // And the on-disk writer is atomic + re-readable.
   const std::string path = ckpt_path("roundtrip.ckpt");
@@ -566,6 +587,127 @@ TEST(Shard, CheckpointRejectsTamperedFiles) {
             std::string::npos);
   // Empty file.
   EXPECT_NE(parse_error("").find("empty checkpoint"), std::string::npos);
+  // A group index no fault list can reach.
+  {
+    std::string text = good;
+    const std::size_t at = text.find("\"gi\":1");
+    text.replace(at, 6, "\"gi\":400000");
+    const std::string e = parse_error(text);
+    EXPECT_NE(e.find("group index out of range"), std::string::npos) << e;
+  }
+  // A final whose id is not an open hard fault has no slot.
+  {
+    CheckpointData f = sample_checkpoint();
+    f.state.next = PipelinePhase::S3Final;
+    f.state.groups.clear();
+    f.state.groups_done.clear();
+    f.state.res.outcome[2] = FaultOutcome::Undetected;
+    f.state.finals.resize(1);
+    f.state.finals_done = {1};
+    std::string text = serialize_checkpoint(f);
+    const std::size_t at = text.find("\"id\":2");
+    text.replace(at, 6, "\"id\":400000");
+    const std::string e = parse_error(text);
+    EXPECT_NE(e.find("is not an open hard fault"), std::string::npos) << e;
+  }
+
+  // The binding hash covers the circuit and options, not the contents: a
+  // hash-matching checkpoint whose state does not fit the run is refused
+  // before any phase runs.  The base is the pinned mid-s3.groups checkpoint
+  // of small_world(39), whose one group line the cases edit.
+  const std::unique_ptr<World> w = small_world(39);
+  const CheckpointData pinned = read_checkpoint(FSCT_PINNED_CHECKPOINT);
+  ASSERT_EQ(pinned.state.groups_done, std::vector<char>{1});
+  const std::size_t open = open_hard_faults(pinned.state.res).front();
+  const std::vector<
+      std::pair<const char*, std::function<void(CheckpointData&)>>>
+      cases = {
+          {"group fault id out of range",
+           [](CheckpointData& d) { d.state.groups[0].credited = {400000}; }},
+          {"group fault id out of range",
+           [](CheckpointData& d) {
+             d.state.groups[0].detected = {400000};
+             d.state.groups[0].seqs.resize(1);
+           }},
+          {"chain location outside",
+           [open](CheckpointData& d) {
+             for (ChainLocation& loc : d.state.res.info[open].locations) {
+               loc.chain = 99;
+             }
+           }},
+          {"chain location outside",
+           [open](CheckpointData& d) {
+             d.state.res.info[open].locations.back().segment = 1000;
+           }},
+          {"PODEM position beyond",
+           [](CheckpointData& d) { d.state.podem_next = 1000000; }},
+          {"sequence fault ids",
+           [](CheckpointData& d) {
+             d.state.res.s3_sequences.push_back(d.state.groups[0].seqs[0]);
+             d.state.res.s3_sequence_fault.push_back(400000);
+           }},
+      };
+  const std::string ck = ckpt_path("tampered.ckpt");
+  for (const auto& [want, tamper] : cases) {
+    CheckpointData d = pinned;
+    tamper(d);
+    write_checkpoint_atomic(ck, d);
+    CheckpointOptions ro;
+    ro.resume_path = ck;
+    try {
+      run_checkpointed_pipeline(*w->model, w->faults, base_opt(1), ro);
+      ADD_FAILURE() << "resume accepted a checkpoint with a bad " << want;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("resume: checkpoint"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(want), std::string::npos) << msg;
+    }
+  }
+}
+
+// ---- pinned fsct-ckpt-v1 file ----------------------------------------------
+// checkpoint_v1_s3groups.ckpt was written by an earlier build of this code:
+// small_world(39), base_opt(1) with attribution on, stopped after the first
+// step-3 group.  It must parse and rewrite byte for byte, and resuming it must
+// end with the plain run's report, so checkpoints written before a change
+// keep resuming after it.
+
+TEST(Shard, PinnedV1CheckpointResumes) {
+  std::ifstream in(FSCT_PINNED_CHECKPOINT, std::ios::binary);
+  ASSERT_TRUE(in) << FSCT_PINNED_CHECKPOINT;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string text = ss.str();
+  const CheckpointData pinned = parse_checkpoint(text, "pinned");
+  EXPECT_EQ(serialize_checkpoint(pinned), text);
+  EXPECT_EQ(pinned.state.next, PipelinePhase::S3Groups);
+  EXPECT_FALSE(pinned.counters.empty());
+
+  // The normalized report (attribution off: its top list carries wall time)
+  // and, separately, the deterministic attribution table.
+  const std::unique_ptr<World> w = small_world(39);
+  for (const bool attr : {false, true}) {
+    auto observed = [attr](ObsRegistry& reg) {
+      if (attr) reg.request_attribution();
+      PipelineOptions opt = base_opt(1);
+      opt.obs = &reg;
+      return opt;
+    };
+    ObsRegistry reg;
+    const PipelineResult plain =
+        run_fsct_pipeline(*w->model, w->faults, observed(reg));
+    ObsRegistry rreg;
+    CheckpointOptions ro;
+    ro.resume_path = FSCT_PINNED_CHECKPOINT;
+    const PipelineResult resumed =
+        run_checkpointed_pipeline(*w->model, w->faults, observed(rreg), ro);
+    EXPECT_EQ(diff_pipeline_results(plain, resumed), "");
+    if (attr) {
+      EXPECT_EQ(rreg.attribution_json(), reg.attribution_json());
+    } else {
+      EXPECT_EQ(report_of(rreg, resumed), report_of(reg, plain));
+    }
+  }
 }
 
 TEST(Shard, ResumeRefusesForeignCheckpoints) {
@@ -665,6 +807,25 @@ TEST(Shard, ResumeFromEverySafePointSweep) {
         run_checkpointed_pipeline(*w->model, w->faults, opt, ro);
     EXPECT_EQ(diff_pipeline_results(baseline, resumed), "")
         << "resume from safe point " << k << " diverges";
+    // A resumed run that stops at its own first safe point checkpoints a
+    // phase no earlier than the one it resumed at, and that checkpoint
+    // resumes to the same result too.
+    CheckpointOptions rs = ro;
+    rs.path = ckpt_path("sweep2.ckpt");
+    rs.stop_after_safepoints = 1;
+    try {
+      run_checkpointed_pipeline(*w->model, w->faults, opt, rs);
+      continue;  // resumed at `done`: no safe point is left
+    } catch (const PipelineStopped&) {
+    }
+    EXPECT_GE(read_checkpoint(rs.path).state.next, cd.state.next) << k;
+    CheckpointOptions ro2;
+    ro2.resume_path = rs.path;
+    EXPECT_EQ(diff_pipeline_results(
+                  baseline,
+                  run_checkpointed_pipeline(*w->model, w->faults, opt, ro2)),
+              "")
+        << "second resume from safe point " << k << " diverges";
   }
   // The loop must terminate by running out of safe points, and the sweep
   // must have actually exercised a meaningful number of them.

@@ -161,6 +161,13 @@ expect_no_report "$TMP/report.json"
 expect_fail 2 "binding hash mismatch" -- test "$TMP/other.bench" \
   --resume "$TMP/good.ckpt" --metrics "$TMP/report.json"
 expect_no_report "$TMP/report.json"
+# The hash binds the circuit and options, not the contents: a fault located
+# on a chain the design does not have is refused before any phase runs.
+sed -E '3s/\[([0-9]),([01]),\[0,/[\1,\2,[99,/' "$TMP/good.ckpt" \
+  > "$TMP/tampered.ckpt"
+expect_fail 2 "resume: checkpoint chain location outside" -- test \
+  "$TMP/good.bench" --resume "$TMP/tampered.ckpt" --metrics "$TMP/report.json"
+expect_no_report "$TMP/report.json"
 
 # --- bench subcommand -------------------------------------------------------
 expect_fail 2 "invalid label"            -- bench run s1488 --label "bad label"

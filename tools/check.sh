@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Build + test, then rebuild with ThreadSanitizer and re-run the tests that
 # drive the fault-parallel execution layer — the race detector must be clean
-# on the new parallel paths — and with UBSan over the wide SIMD kernels
-# (alignment, shifts, aliasing in the multi-word lane code).
+# on the new parallel paths — with UBSan over the wide SIMD kernels, and
+# with ASan over checkpoint parsing and resume (hostile files are refused).
 #
 #   tools/check.sh              # full check (plain build + full ctest +
-#                               # width sweep + TSan + UBSan)
+#                               # width sweep + TSan + UBSan + ASan)
 #   tools/check.sh --tsan-only  # only the TSan build + concurrency tests
 #   tools/check.sh --coverage   # only the gcov build + line-floor check on
 #                               # src/fault and src/core (opt-in; slow -O0)
@@ -475,5 +475,11 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-ubsan \
     --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.|CombFaultSim\.|PackedCombSim\.'
   echo "check.sh: UBSan clean over the SoA/wide kernels"
+
+  cmake -B build-asan -S . -DFSCT_SANITIZE=address "$@"
+  cmake --build build-asan -j --target checkpoint_test fsct
+  ASAN_OPTIONS="halt_on_error=1" ctest --test-dir build-asan -j "$(nproc)" \
+    --output-on-failure -R 'Shard\.|fsct_cli_edge'
+  echo "check.sh: ASan clean over checkpoint parse/resume"
 fi
 echo "check.sh: OK (plain tests $( [[ $TSAN_ONLY == 1 ]] && echo skipped || echo passed ), TSan clean)"
