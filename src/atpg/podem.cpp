@@ -318,12 +318,10 @@ AtpgResult Podem::generate(std::span<const FaultSite> sites,
   if (attributed) {
     const std::size_t f = static_cast<std::size_t>(attr_fault);
     aobs->charge(Attr::PodemCalls, f);
-    if (!res.hit_time_limit) {
-      aobs->charge(Attr::PodemDecisions, f,
-                   static_cast<std::uint64_t>(res.decisions));
-      aobs->charge(Attr::PodemBacktracks, f,
-                   static_cast<std::uint64_t>(res.backtracks));
-    }
+    aobs->charge(Attr::PodemDecisions, f,
+                 static_cast<std::uint64_t>(res.decisions));
+    aobs->charge(Attr::PodemBacktracks, f,
+                 static_cast<std::uint64_t>(res.backtracks));
     aobs->charge(Attr::WallNanos, f,
                  static_cast<std::uint64_t>(
                      std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -337,21 +335,12 @@ AtpgResult Podem::generate(std::span<const FaultSite> sites,
       case AtpgStatus::Untestable: obs->add(Ctr::PodemUntestable); break;
       case AtpgStatus::Aborted: obs->add(Ctr::PodemAborts); break;
     }
-    if (res.hit_time_limit) {
-      // Work truncated by the wall-clock budget is not a function of the
-      // input (it depends on host speed and scheduling), so it stays out of
-      // the deterministic decision/backtrack counters; this counter records
-      // that truncation happened.
-      obs->add(Ctr::PodemTimeLimitHits);
-    } else {
-      obs->add(Ctr::PodemDecisions, static_cast<std::uint64_t>(res.decisions));
-      obs->add(Ctr::PodemBacktracks,
-               static_cast<std::uint64_t>(res.backtracks));
-      obs->observe(Hist::PodemDecisionDepth,
-                   static_cast<std::uint64_t>(res.decisions));
-      obs->observe(Hist::PodemBacktracksPerCall,
-                   static_cast<std::uint64_t>(res.backtracks));
-    }
+    obs->add(Ctr::PodemDecisions, static_cast<std::uint64_t>(res.decisions));
+    obs->add(Ctr::PodemBacktracks, static_cast<std::uint64_t>(res.backtracks));
+    obs->observe(Hist::PodemDecisionDepth,
+                 static_cast<std::uint64_t>(res.decisions));
+    obs->observe(Hist::PodemBacktracksPerCall,
+                 static_cast<std::uint64_t>(res.backtracks));
   }
   return res;
 }
@@ -368,19 +357,8 @@ AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
   std::vector<Decision> stack;
   AtpgResult res;
   std::vector<Objective> objectives;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(opt_.time_limit_ms > 0 ? opt_.time_limit_ms
-                                                       : 1 << 30);
-  int ticks = 0;
 
   for (;;) {
-    if (opt_.time_limit_ms > 0 && (++ticks & 63) == 0 &&
-        std::chrono::steady_clock::now() > deadline) {
-      res.status = AtpgStatus::Aborted;
-      res.hit_time_limit = true;
-      return res;
-    }
     if (detected()) {
       res.status = AtpgStatus::Detected;
       for (NodeId id = 0; id < nl.size(); ++id) {

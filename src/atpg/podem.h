@@ -26,10 +26,9 @@ enum class AtpgStatus : std::uint8_t {
 };
 
 struct AtpgOptions {
+  /// Backtracks per generate() call before it returns Aborted (the role of
+  /// the CPU limit the paper gives stg3, as a deterministic work budget).
   int backtrack_limit = 2000;
-  /// Wall-clock budget per generate() call; 0 = unlimited.  Exceeding it
-  /// returns Aborted (the role of the CPU limit the paper gives stg3).
-  int time_limit_ms = 0;
   /// D-frontier gates considered per objective round (closest-to-observation
   /// first); bounds per-iteration work on very wide cones.
   int frontier_cap = 16;
@@ -45,9 +44,6 @@ struct AtpgResult {
   std::vector<std::pair<NodeId, Val>> assignment;
   int decisions = 0;
   int backtracks = 0;
-  /// True when an Aborted status was caused by the wall-clock budget rather
-  /// than the backtrack limit.
-  bool hit_time_limit = false;
 };
 
 /// PODEM engine bound to one (unrolled) combinational model.  Reusable across
@@ -61,9 +57,8 @@ class Podem {
 
   /// Generates a test for the fault given by its site overrides.  When
   /// `attr_fault` >= 0 and the obs sink has attribution enabled, the call's
-  /// work (calls/decisions/backtracks, the wall-truncation exclusion rule
-  /// matching the counters, plus wall nanoseconds) is charged to that fault
-  /// id in the per-fault attribution ledger.
+  /// work (calls/decisions/backtracks plus wall nanoseconds) is charged to
+  /// that fault id in the per-fault attribution ledger.
   AtpgResult generate(std::span<const FaultSite> sites,
                       std::int64_t attr_fault = -1);
 

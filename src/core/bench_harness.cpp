@@ -566,19 +566,33 @@ CompareReport compare_bench(const BenchDocument& old_doc,
       rep.deltas.push_back(d);
     }
     // Counter / result drift means the *work* changed, not just its timing;
-    // informational, never gating (intentional algorithm changes shift them).
-    const auto drift = [&](const char* what,
-                           const std::vector<std::pair<std::string,
-                                                       std::uint64_t>>& olds,
-                           const std::vector<std::pair<std::string,
-                                                       std::uint64_t>>& news) {
+    // informational, never gating (intentional algorithm changes shift them,
+    // and a build may add or retire a counter).
+    using Named = std::vector<std::pair<std::string, std::uint64_t>>;
+    const auto lookup = [](const Named& list,
+                           const std::string& name) -> const std::uint64_t* {
+      for (const auto& [n, v] : list) {
+        if (n == name) return &v;
+      }
+      return nullptr;
+    };
+    const auto drift = [&](const char* what, const Named& olds,
+                           const Named& news) {
       for (const auto& [name, ov] : olds) {
-        for (const auto& [nname, nv] : news) {
-          if (name == nname && ov != nv) {
-            rep.notes.push_back(key + " " + what + " " + name + ": " +
-                                std::to_string(ov) + " -> " +
-                                std::to_string(nv));
-          }
+        const std::uint64_t* nv = lookup(news, name);
+        if (!nv) {
+          rep.notes.push_back(key + " " + what + " " + name +
+                              " present in old, missing in new");
+        } else if (ov != *nv) {
+          rep.notes.push_back(key + " " + what + " " + name + ": " +
+                              std::to_string(ov) + " -> " +
+                              std::to_string(*nv));
+        }
+      }
+      for (const auto& [name, nv] : news) {
+        if (!lookup(olds, name)) {
+          rep.notes.push_back(key + " " + what + " " + name +
+                              " present in new, missing in old");
         }
       }
     };

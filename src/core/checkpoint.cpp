@@ -648,12 +648,14 @@ std::uint64_t checkpoint_binding_hash(const ScanModeModel& model,
   os << "|o" << opt.auto_dist << ',' << opt.dist.large_dist << ','
      << opt.dist.med_dist << ',' << opt.dist.dist << ','
      << opt.comb_backtrack_limit << ',' << opt.seq_backtrack_limit << ','
-     << opt.final_backtrack_limit << ',' << opt.comb_time_limit_ms << ','
-     << opt.seq_time_limit_ms << ',' << opt.final_time_limit_ms << ','
-     << opt.random_patterns << ',' << opt.frame_slack << ',' << opt.frame_cap
-     << ',' << opt.final_extra_frames << ',' << opt.observe_pos << ','
-     << opt.verify_easy << ',' << opt.verify_seq << ',' << opt.dominance
-     << ',' << opt.alternating_cycles << ',' << opt.observe_cycles;
+     << opt.final_backtrack_limit
+     // The retired wall-clock budgets' slot: budget-free checkpoints keep
+     // their hash, and ones written under a budget are refused as foreign.
+     << ",0,0,0," << opt.random_patterns << ',' << opt.frame_slack << ','
+     << opt.frame_cap << ',' << opt.final_extra_frames << ','
+     << opt.observe_pos << ',' << opt.verify_easy << ',' << opt.verify_seq
+     << ',' << opt.dominance << ',' << opt.alternating_cycles << ','
+     << opt.observe_cycles;
   return fnv1a64(os.str());
 }
 

@@ -33,7 +33,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "podem_detected",
     "podem_untestable",
     "podem_aborts",
-    "podem_time_limit_hits",
     "podem_decisions",
     "podem_backtracks",
     "ppsfp_blocks",

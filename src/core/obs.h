@@ -55,8 +55,7 @@ enum class Ctr : std::uint16_t {
   PodemCalls,            ///< Podem::generate invocations (comb + sequential)
   PodemDetected,         ///< ... that returned Detected
   PodemUntestable,       ///< ... that exhausted the decision space
-  PodemAborts,           ///< ... that gave up (backtrack or time budget)
-  PodemTimeLimitHits,    ///< aborts caused by the wall-clock budget
+  PodemAborts,           ///< ... that gave up (backtrack budget)
   PodemDecisions,        ///< PI decisions across all calls
   PodemBacktracks,       ///< backtracks across all calls
   PpsfpBlocks,           ///< 64-pattern PPSFP blocks simulated
@@ -107,12 +106,11 @@ enum class Hist : std::uint16_t {
 /// than the pass-granular SeqSimCycles counter, which legitimately varies
 /// with lane packing.  WallNanos is wall-clock and schedule-dependent by
 /// nature; it is the ranking signal for hotlists and is excluded from the
-/// deterministic table/JSON (same principle as the wall-truncated PODEM
-/// exclusion in the counter contract).
+/// deterministic table/JSON.
 enum class Attr : std::uint16_t {
   PodemCalls,       ///< Podem::generate calls targeting this fault
-  PodemDecisions,   ///< PI decisions in those calls (wall-truncated excluded)
-  PodemBacktracks,  ///< backtracks in those calls (same exclusion)
+  PodemDecisions,   ///< PI decisions in those calls
+  PodemBacktracks,  ///< backtracks in those calls
   SeqSims,          ///< sequential-sim resolutions of this fault
   SeqCycles,        ///< resolved machine-cycles across those resolutions
   PairReplays,      ///< (fault, sequence) pair-verification replays

@@ -373,7 +373,6 @@ void Skeleton::s2_podem() {
   Levelizer clv(cm.nl);
   AtpgOptions aopt;
   aopt.backtrack_limit = opt.comb_backtrack_limit;
-  aopt.time_limit_ms = opt.comb_time_limit_ms;
   aopt.obs = obs;
   Podem podem(clv, cm.controllable, cm.observe, aopt);
 

@@ -66,11 +66,12 @@ struct PipelineOptions {
   int comb_backtrack_limit = 1500;
   int seq_backtrack_limit = 3000;
   int final_backtrack_limit = 12000;
-  /// Wall-clock budgets per ATPG call (0 = unlimited) — the role the CPU
-  /// limit played for the paper's stg3 runs.
-  int comb_time_limit_ms = 250;
-  int seq_time_limit_ms = 1000;
-  int final_time_limit_ms = 3000;
+  /// Ignored: nothing reads these.  ATPG is bounded by the backtrack limits
+  /// above alone, so a report never depends on the clock.  Kept only so that
+  /// existing callers that set them still compile.
+  int comb_time_limit_ms = 0;
+  int seq_time_limit_ms = 0;
+  int final_time_limit_ms = 0;
   /// Random scan-mode patterns fault-simulated before any deterministic ATPG
   /// (classic RPG warm-up; keeps PODEM for the stubborn tail).  0 disables.
   int random_patterns = 96;

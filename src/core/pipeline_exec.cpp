@@ -255,7 +255,6 @@ void LocalExec::run_groups(const std::vector<AtpgGroup>& groups,
   ropt.frame_cap = opt_.frame_cap;
   ropt.observe_pos = opt_.observe_pos;
   ropt.atpg.backtrack_limit = opt_.seq_backtrack_limit;
-  ropt.atpg.time_limit_ms = opt_.seq_time_limit_ms;
   ropt.atpg.obs = obs_;
   ReducedCircuitBuilder builder(model_, ropt);
 
@@ -346,7 +345,6 @@ void LocalExec::run_finals(std::span<const std::size_t> final_ids,
   fopt.frame_cap = opt_.frame_cap;
   fopt.observe_pos = opt_.observe_pos;
   fopt.atpg.backtrack_limit = opt_.final_backtrack_limit;
-  fopt.atpg.time_limit_ms = opt_.final_time_limit_ms;
   fopt.atpg.obs = obs_;
   ReducedCircuitBuilder final_builder(model_, fopt);
 

@@ -266,11 +266,6 @@ PipelineOptions fuzz_pipeline_options(int jobs) {
   opt.jobs = jobs;
   opt.verify_easy = true;
   opt.verify_seq = true;
-  // Wall-clock budgets off: outcomes must depend only on the inputs for the
-  // jobs-identity comparison to be meaningful.
-  opt.comb_time_limit_ms = 0;
-  opt.seq_time_limit_ms = 0;
-  opt.final_time_limit_ms = 0;
   opt.comb_backtrack_limit = 300;
   opt.seq_backtrack_limit = 600;
   opt.final_backtrack_limit = 1200;

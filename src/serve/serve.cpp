@@ -498,14 +498,6 @@ std::string ServeServer::run_request(
   rec.model_cache = model_hit ? "hit" : "miss";
 
   PipelineOptions popt;
-  // Deterministic work budgets only: the wall-clock ATPG limits are zeroed
-  // so a served report depends on the request alone, never on machine load
-  // (the §5j bitwise determinism contract — on a loaded or sanitized host a
-  // wall budget truncates PODEM at a load-dependent point). The backtrack
-  // limits still bound every call, deterministically.
-  popt.comb_time_limit_ms = 0;
-  popt.seq_time_limit_ms = 0;
-  popt.final_time_limit_ms = 0;
   popt.verify_easy = req.verify_easy;
   popt.jobs = req.jobs;
   popt.simd_width = req.simd_width;

@@ -103,6 +103,27 @@ TEST(Bench, CompareMissingCircuitMismatch) {
   EXPECT_NE(os.str().find("MISMATCH"), std::string::npos);
 }
 
+TEST(Bench, CompareNotesOneSidedCounters) {
+  // A counter one build has and the other lacks (say, a retired one) is
+  // named in a note both ways; it never gates.
+  BenchDocument old_doc = doc_with(1.0, 0.0);
+  old_doc.rows[0].counters = {{"podem_calls", 7}, {"retired", 3}};
+  BenchDocument new_doc = doc_with(1.0, 0.0);
+  new_doc.rows[0].counters = {{"podem_calls", 9}, {"added", 1}};
+  const CompareReport rep = compare_bench(old_doc, new_doc);
+  EXPECT_EQ(rep.exit_code(), 0);
+  EXPECT_TRUE(rep.mismatches.empty());
+  const auto noted = [&](const std::string& text) {
+    for (const std::string& n : rep.notes) {
+      if (n.find(text) != std::string::npos) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(noted("counter podem_calls: 7 -> 9"));
+  EXPECT_TRUE(noted("counter retired present in old, missing in new"));
+  EXPECT_TRUE(noted("counter added present in new, missing in old"));
+}
+
 TEST(Bench, MismatchOutranksRegression) {
   BenchDocument new_doc = doc_with(9.0, 0.0);  // clear regression...
   new_doc.rows.push_back(doc_with(1.0, 0.0, "extra").rows[0]);  // ...+ extra

@@ -194,9 +194,7 @@ TEST(Obs, RunReportCoversResultCountersAndPool) {
 }
 
 // Runs the pipeline with the attribution ledger on and returns the
-// deterministic attribution table as JSON.  ATPG wall budgets are disabled:
-// wall truncation is the one schedule-dependent source of attributed PODEM
-// work, and these tests assert bitwise equality.
+// deterministic attribution table as JSON.
 std::string attr_run(Built& b, int jobs, int width, ObsRegistry* out = nullptr,
                      PipelineResult* res = nullptr) {
   ObsRegistry local;
@@ -206,9 +204,6 @@ std::string attr_run(Built& b, int jobs, int width, ObsRegistry* out = nullptr,
   opt.jobs = jobs;
   opt.simd_width = width;
   opt.obs = &reg;
-  opt.comb_time_limit_ms = 0;
-  opt.seq_time_limit_ms = 0;
-  opt.final_time_limit_ms = 0;
   const PipelineResult r = run_fsct_pipeline(b.model, b.faults, opt);
   if (res) *res = r;
   return reg.attribution_json();
@@ -276,8 +271,7 @@ TEST(Obs, AttributionReconcilesWithDeterministicCounters) {
     }
   }
   const auto col = [&](Attr a) { return sums[static_cast<std::size_t>(a)]; };
-  // Every PODEM call in the pipeline is attributed, and both the counters
-  // and the ledger exclude wall-truncated work, so the columns reconcile
+  // Every PODEM call in the pipeline is attributed, so the columns reconcile
   // exactly with the deterministic counters.
   EXPECT_EQ(col(Attr::PodemCalls), reg.total(Ctr::PodemCalls));
   EXPECT_EQ(col(Attr::PodemDecisions), reg.total(Ctr::PodemDecisions));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "bench_circuits/generator.h"
+#include "core/obs.h"
 #include "core/pipeline.h"
+#include "core/selfcheck.h"
 #include "scan/tpi.h"
 
 namespace fsct {
@@ -15,13 +17,13 @@ struct World {
   Levelizer lv;
   ScanModeModel model;
   std::vector<Fault> faults;
-  explicit World(std::uint64_t seed)
-      : nl(make(seed)), design(run_tpi(nl)), lv(nl), model(lv, design),
-        faults(collapsed_fault_list(nl)) {}
-  static Netlist make(std::uint64_t seed) {
+  explicit World(std::uint64_t seed, int gates = 220, int ffs = 16)
+      : nl(make(seed, gates, ffs)), design(run_tpi(nl)), lv(nl),
+        model(lv, design), faults(collapsed_fault_list(nl)) {}
+  static Netlist make(std::uint64_t seed, int gates, int ffs) {
     RandomCircuitSpec spec;
-    spec.num_gates = 220;
-    spec.num_ffs = 16;
+    spec.num_gates = gates;
+    spec.num_ffs = ffs;
     spec.num_pis = 7;
     spec.num_pos = 5;
     spec.seed = seed;
@@ -95,14 +97,26 @@ TEST(PipelineOptions, TinyFrameCapDegradesGracefully) {
   check_invariants(r);  // fewer frames may cost coverage, never consistency
 }
 
-TEST(PipelineOptions, ZeroTimeBudgetsStillTerminate) {
-  World w(505);
-  PipelineOptions opt;
-  opt.comb_time_limit_ms = 1;
-  opt.seq_time_limit_ms = 1;
-  opt.final_time_limit_ms = 1;
-  const PipelineResult r = run_fsct_pipeline(w.model, w.faults, opt);
-  check_invariants(r);
+// The three retired wall-clock budget fields are inert: a run with 1 ms in
+// each is the default run, outcome for outcome and counter for counter.  On
+// this circuit several PODEM calls search for tens of milliseconds (about
+// 4 800 decisions in all), so a clock-checked search would be cut short.
+TEST(PipelineOptions, TimeLimitFieldsAreIgnored) {
+  World w(508, 400, 24);
+  ObsRegistry base_obs;
+  PipelineOptions base;
+  base.obs = &base_obs;
+  ObsRegistry tight_obs;
+  PipelineOptions tight;
+  tight.obs = &tight_obs;
+  tight.comb_time_limit_ms = 1;
+  tight.seq_time_limit_ms = 1;
+  tight.final_time_limit_ms = 1;
+  const PipelineResult a = run_fsct_pipeline(w.model, w.faults, base);
+  const PipelineResult b = run_fsct_pipeline(w.model, w.faults, tight);
+  check_invariants(b);
+  EXPECT_EQ(diff_pipeline_results(a, b), "");
+  EXPECT_EQ(base_obs.counters_json(), tight_obs.counters_json());
 }
 
 TEST(PipelineOptions, ExplicitObserveCyclesRespected) {

@@ -86,13 +86,8 @@ std::unique_ptr<World> small_world(std::uint64_t seed) {
   return compile_world(make_random_sequential(spec), 1);
 }
 
-// Wall-clock ATPG budgets are the one nondeterministic input; every
-// determinism assertion in this file runs with them disabled.
 PipelineOptions base_opt(int jobs) {
   PipelineOptions opt;
-  opt.comb_time_limit_ms = 0;
-  opt.seq_time_limit_ms = 0;
-  opt.final_time_limit_ms = 0;
   opt.verify_easy = true;
   opt.jobs = jobs;
   return opt;

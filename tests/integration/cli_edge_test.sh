@@ -214,6 +214,17 @@ if ! "$FSCT" fuzz --seed 1 --iters 3 -o "$TMP/fz" >/dev/null 2>&1; then
   echo "FAIL: fsct fuzz smoke should succeed"
   FAILURES=$((FAILURES + 1))
 fi
+# A suite name screens the suite entry's design: s3330 has 2 chains, so the
+# default and an explicit --chains 2 print the same summary (the "jobs:"
+# line carries wall times and is dropped).
+"$FSCT" test s3330 --jobs 1 2>&1 | grep -v '^jobs:' > "$TMP/suite_default.txt"
+"$FSCT" test s3330 --chains 2 --jobs 1 2>&1 | grep -v '^jobs:' \
+  > "$TMP/suite_chains.txt"
+if ! cmp -s "$TMP/suite_default.txt" "$TMP/suite_chains.txt"; then
+  echo "FAIL: fsct test s3330 should default to the suite's 2 chains:"
+  diff "$TMP/suite_default.txt" "$TMP/suite_chains.txt"
+  FAILURES=$((FAILURES + 1))
+fi
 
 if [[ $FAILURES -ne 0 ]]; then
   echo "$FAILURES case(s) failed"

@@ -51,12 +51,7 @@ TEST(Determinism, PipelineProducesIdenticalOutcomes) {
   const auto f2 = collapsed_fault_list(nl2);
   ASSERT_EQ(f1, f2);
 
-  // Wall-clock ATPG budgets are the one nondeterministic input; disable them
-  // so both runs see identical cutoffs.
   PipelineOptions opt;
-  opt.comb_time_limit_ms = 0;
-  opt.seq_time_limit_ms = 0;
-  opt.final_time_limit_ms = 0;
   const PipelineResult r1 = run_fsct_pipeline(m1, f1, opt);
   const PipelineResult r2 = run_fsct_pipeline(m2, f2, opt);
 
@@ -89,9 +84,6 @@ TEST(Determinism, PipelineIdenticalAtAnyJobCount) {
   const auto f2 = collapsed_fault_list(nl2);
 
   PipelineOptions opt;
-  opt.comb_time_limit_ms = 0;
-  opt.seq_time_limit_ms = 0;
-  opt.final_time_limit_ms = 0;
   opt.verify_easy = true;
   opt.jobs = 1;
   const PipelineResult serial = run_fsct_pipeline(m1, f1, opt);

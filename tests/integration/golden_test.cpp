@@ -37,9 +37,6 @@ TEST(Golden, S27PipelineNumbers) {
 
   PipelineOptions opt;
   opt.verify_easy = true;
-  opt.comb_time_limit_ms = 0;  // keep the run fully deterministic
-  opt.seq_time_limit_ms = 0;
-  opt.final_time_limit_ms = 0;
   const PipelineResult r = run_fsct_pipeline(model, faults, opt);
   EXPECT_EQ(r.easy, 11u);
   EXPECT_EQ(r.hard, 4u);
@@ -135,9 +132,6 @@ TEST(Golden, SuiteCoverageConformance) {
     const auto faults = collapsed_fault_list(nl);
     PipelineOptions opt;
     opt.verify_easy = true;
-    opt.comb_time_limit_ms = 0;
-    opt.seq_time_limit_ms = 0;
-    opt.final_time_limit_ms = 0;
     ObsRegistry obs;
     opt.obs = &obs;
     const PipelineResult r = run_fsct_pipeline(model, faults, opt);

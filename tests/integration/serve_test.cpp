@@ -54,9 +54,8 @@ std::string suite_bench(int i) {
   return write_bench_string(build_suite_circuit(paper_suite()[i]));
 }
 
-// ISCAS'89 s27: small enough that every phase finishes orders of magnitude
-// under the ATPG wall budgets even at sanitizer speed, so per-run work (and
-// with it the SoA compile count) is exactly reproducible.
+// ISCAS'89 s27: a small circuit whose per-run work (and with it the SoA
+// compile count) is exactly reproducible.
 const char* kS27 =
     "INPUT(G0)\nINPUT(G1)\nINPUT(G2)\nINPUT(G3)\nOUTPUT(G17)\n"
     "G5 = DFF(G10)\nG6 = DFF(G11)\nG7 = DFF(G13)\nG14 = NOT(G0)\n"
@@ -77,11 +76,6 @@ std::string cli_reference_report(const std::string& bench, int chains) {
   EXPECT_EQ(model.check(), "");
   const std::vector<Fault> faults = collapsed_fault_list(nl);
   PipelineOptions opt;
-  // Mirror of the daemon's pipeline config: wall budgets off (deterministic
-  // backtrack caps only), so the comparison cannot depend on machine load.
-  opt.comb_time_limit_ms = 0;
-  opt.seq_time_limit_ms = 0;
-  opt.final_time_limit_ms = 0;
   opt.verify_easy = true;
   opt.jobs = 1;
   ObsRegistry reg;
@@ -178,8 +172,7 @@ TEST(Serve, RepeatedRequestHitsModelCacheWithoutRecompiling) {
   EXPECT_NE(second.find("\"model_cache\": \"hit\""), std::string::npos)
       << second;
   // Counter-asserted cache hit.  The pipeline compiles fresh unrolled ATPG
-  // models every run (identically on identical runs at jobs=1, and s27 is
-  // far too small for a wall budget to ever truncate work), so the cached
+  // models every run (identically on identical runs at jobs=1), so the cached
   // request's compile count must come in exactly one short of the cold
   // one: the model's compile phase — and only it — was skipped.
   EXPECT_EQ(soa_compile_count() - after_first, (after_first - base) - 1);

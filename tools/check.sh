@@ -96,6 +96,21 @@ fi
 # registries into the run's on the skeleton thread while others still run).
 CONCURRENCY_TESTS='Parallel\.|Determinism\.|Obs\.|Selfcheck\.|Bench\.|Serve\.|Shard\.'
 
+# One configuration on every path: ATPG is bounded by backtrack budgets only,
+# so nothing in src or tools may name the retired wall-clock budget.  The one
+# exception is the three inert PipelineOptions fields kept for old callers.
+# (The bracketed characters keep these patterns from matching their own lines.)
+BUDGET_REFS=$(grep -rnE \
+    'hit_time[_]limit|PodemTimeLimit[H]its|podem_time_limit[_]hits|time_limit[_]ms' \
+    src tools |
+  grep -vE '^src/core/pipeline\.h:[0-9]+:  int (comb|seq|final)_time_limit[_]ms = 0;$' ||
+  true)
+if [[ -n "$BUDGET_REFS" ]]; then
+  echo "check.sh: the retired wall-clock ATPG budget is referenced:"
+  echo "$BUDGET_REFS"
+  exit 1
+fi
+
 if [[ "$TSAN_ONLY" == 0 ]]; then
   cmake -B build -S . "$@"
   cmake --build build -j

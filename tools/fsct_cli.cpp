@@ -9,8 +9,9 @@
 //       insert a TPI functional scan chain, report the overhead, optionally
 //       write the scanned netlist.
 //
-//   fsct test     <circuit.bench> [--chains N] [--partial permille]
-//                 [--jobs N] [--simd-width W] [-o program.fsct]
+//   fsct test     <circuit.bench|suite name> [--chains N]
+//                 [--partial permille] [--jobs N] [--simd-width W]
+//                 [-o program.fsct]
 //                 [--checkpoint F] [--checkpoint-interval MS] [--resume F]
 //                 [--trace t.json] [--metrics m.json] [--profile p.json]
 //                 [--folded p.folded] [--metrics-out m.prom] [-v]
@@ -18,7 +19,9 @@
 //       full flow: TPI + three-step screening pipeline; prints the paper's
 //       Table-2/3 style summary and (with -o) writes the complete chain test
 //       program (flush + vectors + verified sequential tests) plus the
-//       scanned netlist it applies to (<out>.bench).  --trace writes a
+//       scanned netlist it applies to (<out>.bench).  A suite name screens
+//       the suite entry's design, at its chain count unless --chains is
+//       given.  --trace writes a
 //       Chrome trace-event JSON of the run, --metrics a structured JSON run
 //       report, --profile a per-fault work-attribution hotspot profile
 //       (fsct-profile-v1), --folded flamegraph folded stacks, --metrics-out
@@ -86,6 +89,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -120,7 +124,7 @@ struct UsageError : std::runtime_error {
 
 struct Args {
   std::vector<std::string> positional;
-  int chains = 1;
+  std::optional<int> chains;  // --chains; unset = the design's default
   int partial = 1000;
   int jobs = 0;  // 0 = one executor per hardware thread
   int simd_width = 0;  // 0 = build-time default (FSCT_SIMD_WIDTH)
@@ -367,7 +371,7 @@ int cmd_scan(const Args& a) {
   Netlist nl = read_bench_file(positional(a, 0, "<circuit.bench>"));
   require_unscanned(nl);
   TpiOptions topt;
-  topt.num_chains = a.chains;
+  topt.num_chains = a.chains.value_or(1);
   topt.scan_permille = a.partial;
   TpiStats stats;
   const ScanDesign d = run_tpi(nl, topt, &stats);
@@ -389,26 +393,35 @@ int cmd_scan(const Args& a) {
   return 0;
 }
 
-/// Resolves a circuit operand: an existing .bench file wins; otherwise a
-/// paper-suite name ("s1423") builds the synthetic stand-in, the same
-/// resolution `fsct bench run` uses.
-Netlist load_circuit(const std::string& arg) {
+/// A circuit operand and the number of scan chains its design gets by
+/// default.
+struct LoadedCircuit {
+  Netlist nl;
+  int chains = 1;
+};
+
+/// Resolves a circuit operand: an existing .bench file wins (one chain);
+/// otherwise a paper-suite name ("s1423") builds the synthetic stand-in with
+/// the suite entry's chain count, the same design `fsct bench run` screens.
+LoadedCircuit load_circuit(const std::string& arg) {
   if (!std::filesystem::exists(arg)) {
     try {
-      return build_suite_circuit(suite_entry(arg));
+      const SuiteEntry& e = suite_entry(arg);
+      return {build_suite_circuit(e), e.chains};
     } catch (const std::exception&) {
       // Not a suite name either: fall through to the file error below,
       // which names the path the user asked for.
     }
   }
-  return read_bench_file(arg);
+  return {read_bench_file(arg)};
 }
 
 int cmd_test(const Args& a) {
-  Netlist nl = load_circuit(positional(a, 0, "<circuit.bench>"));
+  LoadedCircuit circuit = load_circuit(positional(a, 0, "<circuit.bench>"));
+  Netlist& nl = circuit.nl;
   require_unscanned(nl);
   TpiOptions topt;
-  topt.num_chains = a.chains;
+  topt.num_chains = a.chains.value_or(circuit.chains);
   topt.scan_permille = a.partial;
   const ScanDesign d = run_tpi(nl, topt);
   const Levelizer lv(nl);
@@ -572,7 +585,7 @@ int cmd_diagnose(const Args& a) {
   Netlist nl = read_bench_file(positional(a, 0, "<circuit.bench>"));
   require_unscanned(nl);
   TpiOptions topt;
-  topt.num_chains = a.chains;
+  topt.num_chains = a.chains.value_or(1);
   const ScanDesign d = run_tpi(nl, topt);
   const Levelizer lv(nl);
   const ScanModeModel model(lv, d);
@@ -1085,7 +1098,8 @@ void print_usage(std::FILE* f = stdout) {
       "                                          one-screen status\n"
       "\n"
       "options:\n"
-      "  --chains N        number of scan chains to insert (default 1)\n"
+      "  --chains N        number of scan chains to insert (default: the\n"
+      "                    suite entry's count for a suite name, else 1)\n"
       "  --partial M       permille of flip-flops scanned (default 1000)\n"
       "  --jobs N          parallel executors; 0 = one per hardware thread\n"
       "                    (default), 1 = serial — results are identical\n"
