@@ -653,8 +653,9 @@ std::uint64_t checkpoint_binding_hash(const ScanModeModel& model,
      // their hash, and ones written under a budget are refused as foreign.
      << ",0,0,0," << opt.random_patterns << ',' << opt.frame_slack << ','
      << opt.frame_cap << ',' << opt.final_extra_frames << ','
-     << opt.observe_pos << ',' << opt.verify_easy << ',' << opt.verify_seq
-     << ',' << opt.dominance << ',' << opt.alternating_cycles << ','
+     << opt.observe_pos << ',' << opt.verify_easy
+     // The retired verify_seq switch's slot: step 3 always verifies.
+     << ",1," << opt.dominance << ',' << opt.alternating_cycles << ','
      << opt.observe_cycles;
   return fnv1a64(os.str());
 }

@@ -379,8 +379,18 @@ void ObsRegistry::set_trace_limit_bytes(std::size_t bytes) {
   trace_limit_bytes_ = bytes;
 }
 
+void ObsRegistry::forward_trace_to(ObsRegistry& run) {
+  trace_to_ = &run;
+  epoch_ = run.epoch_;
+  enable_trace(run.trace_enabled());
+}
+
 void ObsRegistry::add_trace_event(const char* name, unsigned tid, double t0_us,
                                   double t1_us) {
+  if (trace_to_) {
+    trace_to_->add_trace_event(name, tid, t0_us, t1_us);
+    return;
+  }
   bool dropped = false;
   {
     std::lock_guard<std::mutex> lk(trace_m_);

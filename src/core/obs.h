@@ -231,6 +231,12 @@ class ObsRegistry {
   /// Records one completed span on `tid`'s track (called by ObsSpan).
   void add_trace_event(const char* name, unsigned tid, double t0_us,
                        double t1_us);
+  /// Sends this registry's spans to `run`'s trace, on `run`'s clock, and
+  /// traces exactly when `run` does.  A step-3 item charges a private
+  /// registry that is folded in only when the item finishes (merge_from),
+  /// but its spans belong to the run's trace as they happen.  Call before
+  /// any span starts; `run` must outlive this registry's spans.
+  void forward_trace_to(ObsRegistry& run);
   std::size_t trace_event_count() const;
   struct SpanEvent {
     std::string name;
@@ -339,7 +345,7 @@ class ObsRegistry {
   /// and its attribution cells when this registry's ledger is on, into this
   /// registry's calling-thread shard.  `fsct serve` folds each finished
   /// session into its daemon-lifetime registry this way (cumulative
-  /// /metrics); a checkpointed run folds each finished step-3 item's private
+  /// /metrics); an observed run folds each finished step-3 item's private
   /// registry into the run's.  Gauges are set-once run facts and are
   /// deliberately not merged.  Call once `other` is quiescent.
   void merge_from(const ObsRegistry& other);
@@ -391,6 +397,7 @@ class ObsRegistry {
   std::size_t trace_limit_bytes_ = 0;  // 0 = unlimited
   std::size_t trace_bytes_ = 0;        // estimated JSON bytes recorded so far
   bool trace_truncated_ = false;
+  ObsRegistry* trace_to_ = nullptr;  // forward_trace_to target, if any
   std::vector<ThreadPool::WorkerStats> pool_stats_;
   std::atomic<const char*> phase_name_{nullptr};
   std::atomic<std::uint64_t> phase_done_{0};

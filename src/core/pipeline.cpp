@@ -143,8 +143,9 @@ struct Skeleton {
   void s3_ledger();
   void s3_final();
 
-  bool hooked() const { return opt.hooks && opt.hooks->safe_point; }
-  bool hook_says_go() { return !hooked() || opt.hooks->safe_point(st); }
+  bool hook_says_go() {
+    return !opt.hooks || !opt.hooks->safe_point || opt.hooks->safe_point(st);
+  }
   // Passes the state to the hook; a stop verdict becomes PipelineStopped.
   void safe_point() {
     if (!hook_says_go()) {
@@ -153,10 +154,8 @@ struct Skeleton {
     }
   }
   // The per-item safe point of a step-3 phase: marks the item done in `mask`
-  // and records a stop verdict in `stop`.  Empty when unhooked, which keeps
-  // the exec on its plain parallel path.
+  // and records a stop verdict in `stop`.
   PipelineExec::ItemDone item_safe_point(std::vector<char>& mask, bool& stop) {
-    if (!hooked()) return {};
     return [this, &mask, &stop](std::size_t item) {
       mask[item] = 1;
       stop = !hook_says_go();
@@ -719,8 +718,8 @@ void Skeleton::s3_final() {
 //
 // Checkpoint/resume: opt.hooks->safe_point sees the state after every phase,
 // after every PODEM target and after every step-3 group/final item (reported
-// by the exec through ItemDone, passed only when a hook is set); opt.resume
-// continues from such a state at its `next` phase.
+// by the exec through ItemDone, the same way with or without a hook);
+// opt.resume continues from such a state at its `next` phase.
 PipelineResult run_fsct_pipeline(const ScanModeModel& model,
                                  std::span<const Fault> faults,
                                  const PipelineOptions& opt) {

@@ -83,11 +83,6 @@ struct PipelineOptions {
   /// Sequentially fault-simulate the alternating sequence against f_easy and
   /// report how many it really detects (the paper assumes all).
   bool verify_easy = false;
-  /// End-to-end-check every step-3 "detected" verdict: realise the extracted
-  /// sequential test on the real circuit and fault-simulate it; tests that do
-  /// not reproduce the detection are not counted (honest accounting the
-  /// paper's in-model ATPG cannot give).  Also fills s3_sequences.
-  bool verify_seq = true;
   /// Dominance collapsing + cross-phase detection credit.  Targets are the
   /// dominance representatives (SCOAP-ordered, cheapest excitation first);
   /// dominated faults ride along and are only targeted themselves if the
@@ -192,7 +187,7 @@ struct PipelineResult {
   std::size_t s3_undetectable = 0;
   std::size_t s3_undetected = 0;
   /// In-model detections whose realised test failed end-to-end verification
-  /// (only populated when verify_seq; such faults count as undetected).
+  /// (such faults count as undetected).
   std::size_t s3_unverified = 0;
   double s3_seconds = 0;
   double s3_cpu_seconds = 0;

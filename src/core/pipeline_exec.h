@@ -16,9 +16,9 @@
 // after every phase, after every PODEM target and after every completed
 // step-3 group/final item, each passing the state as it stands; a run
 // resumed from such a state (PipelineOptions::resume) starts at its `next`
-// phase.  Per-item safe points ride on ItemDone, passed only when hooks are
-// set: LocalExec then reports each finished item on the skeleton thread with
-// its charges already folded into the run's registry (DESIGN.md §5l).
+// phase.  Per-item safe points ride on ItemDone, which the skeleton always
+// passes: LocalExec reports each finished step-3 item on the skeleton thread
+// with its charges already folded into the run's registry (DESIGN.md §5l).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,7 @@ struct GroupOutcome {
 };
 
 /// Verdict of one final-pass individual model (verification included: a
-/// Detected here has already survived its pair replay when verify_seq is on).
+/// Detected here has already survived its pair replay).
 enum class FinalVerdict : std::uint8_t {
   Detected,
   Unverified,
@@ -125,8 +125,9 @@ class PipelineExec {
   /// Per-item completion callback for the step-3 phases, invoked on the
   /// skeleton thread after `done[item]` is final and the item's charges are
   /// in the run's registry.  Returning false asks the exec to start no
-  /// further item and return early; items in flight are discarded.  An empty
-  /// ItemDone means no reporting (the plain parallel path).
+  /// further item and return early; items in flight are discarded.  The
+  /// skeleton always passes one; without a safe-point hook it only marks the
+  /// item done.
   using ItemDone = std::function<bool(std::size_t)>;
 
   virtual ~PipelineExec() = default;
@@ -166,10 +167,10 @@ class PipelineExec {
                           const ItemDone& on_done) = 0;
 };
 
-/// The in-process executor: every call runs on `pool` with the exact engine
-/// constructions and obs charges the pre-exec pipeline performed inline, so
-/// refactoring the skeleton onto this interface changed no observable
-/// behaviour (pipeline_test / determinism_test / golden_test enforce that).
+/// The in-process executor: every call runs on `pool`.  Each step-3 group
+/// or final item is one pool task that verifies its own detections and, in
+/// an observed run, charges a private registry the skeleton thread folds in
+/// before it reports the item (DESIGN.md §5l).
 class LocalExec : public PipelineExec {
  public:
   LocalExec(const ScanModeModel& model, std::span<const Fault> faults,
@@ -192,6 +193,10 @@ class LocalExec : public PipelineExec {
                   const ItemDone& on_done) override;
 
  private:
+  GroupOutcome run_group(const AtpgGroup& g, ObsRegistry* obs) const;
+  FinalOutcome run_final(std::size_t j, const std::vector<ChainWindow>& window,
+                         ObsRegistry* obs) const;
+
   const ScanModeModel& model_;
   std::span<const Fault> faults_;
   const PipelineOptions& opt_;

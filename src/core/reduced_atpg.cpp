@@ -34,11 +34,7 @@ ReducedCircuitBuilder::ReducedCircuitBuilder(const ScanModeModel& model,
                                              ReducedModelOptions opt)
     : model_(model),
       opt_(opt),
-      seq_builder_(model.levelizer().netlist(), model.design()) {
-  const Netlist& nl = model.levelizer().netlist();
-  ff_pos_.reserve(nl.dffs().size());
-  for (NodeId ff : nl.dffs()) ff_pos_.push_back(seq_builder_.chain_position(ff));
-}
+      seq_builder_(model.levelizer().netlist(), model.design()) {}
 
 int ReducedCircuitBuilder::frames_for(const AtpgGroup& g,
                                       int extra_frames) const {
@@ -60,7 +56,7 @@ ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
   // Per-FF controllability/observability from the group's window.
   std::vector<char> controllable(n_ff, 0), observable(n_ff, 0);
   for (std::size_t i = 0; i < n_ff; ++i) {
-    const auto [c, k] = ff_pos_[i];
+    const auto [c, k] = seq_builder_.ff_positions()[i];
     if (c < 0) continue;  // not on any chain: neither
     const ChainWindow* w = nullptr;
     for (const ChainWindow& cw : g.window) {
@@ -162,7 +158,7 @@ TestSequence ReducedCircuitBuilder::realize(const SeqTest& t,
     per_chain[c].assign(d.chains[c].length(), Val::X);
   }
   for (std::size_t i = 0; i < t.init_state.size(); ++i) {
-    const auto [c, k] = ff_pos_[i];
+    const auto [c, k] = seq_builder_.ff_positions()[i];
     if (c >= 0 && t.init_state[i] != Val::X) {
       per_chain[static_cast<std::size_t>(c)][static_cast<std::size_t>(k)] =
           t.init_state[i];

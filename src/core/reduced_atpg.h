@@ -91,7 +91,6 @@ class ReducedCircuitBuilder {
   const ScanModeModel& model_;
   ReducedModelOptions opt_;
   ScanSequenceBuilder seq_builder_;
-  std::vector<std::pair<int, int>> ff_pos_;  // dff order -> (chain, pos)
 };
 
 }  // namespace fsct

@@ -265,7 +265,6 @@ PipelineOptions fuzz_pipeline_options(int jobs) {
   PipelineOptions opt;
   opt.jobs = jobs;
   opt.verify_easy = true;
-  opt.verify_seq = true;
   opt.comb_backtrack_limit = 300;
   opt.seq_backtrack_limit = 600;
   opt.final_backtrack_limit = 1200;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace fsct {
 
@@ -13,18 +12,19 @@ ScanSequenceBuilder::ScanSequenceBuilder(const Netlist& nl,
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     pi_index_[nl.inputs()[i]] = static_cast<int>(i);
   }
-  std::unordered_map<NodeId, std::pair<int, int>> pos;
+  dff_index_.assign(nl.size(), -1);
+  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
+    dff_index_[nl.dffs()[i]] = static_cast<int>(i);
+  }
+  ff_pos_.assign(nl.dffs().size(), {-1, -1});
   for (std::size_t c = 0; c < design.chains.size(); ++c) {
     const auto& ffs = design.chains[c].ffs;
     for (std::size_t k = 0; k < ffs.size(); ++k) {
-      pos.emplace(ffs[k], std::make_pair(static_cast<int>(c),
-                                         static_cast<int>(k)));
+      const int i = ffs[k] < nl.size() ? dff_index_[ffs[k]] : -1;
+      if (i >= 0 && ff_pos_[i].first < 0) {  // first listing wins
+        ff_pos_[i] = {static_cast<int>(c), static_cast<int>(k)};
+      }
     }
-  }
-  ff_pos_.reserve(nl.dffs().size());
-  for (NodeId ff : nl.dffs()) {
-    auto it = pos.find(ff);
-    ff_pos_.push_back(it == pos.end() ? std::make_pair(-1, -1) : it->second);
   }
 }
 
@@ -35,10 +35,8 @@ std::size_t ScanSequenceBuilder::max_chain_length() const {
 }
 
 std::pair<int, int> ScanSequenceBuilder::chain_position(NodeId ff) const {
-  for (std::size_t i = 0; i < nl_.dffs().size(); ++i) {
-    if (nl_.dffs()[i] == ff) return ff_pos_[i];
-  }
-  return {-1, -1};
+  const int i = ff < dff_index_.size() ? dff_index_[ff] : -1;
+  return i < 0 ? std::make_pair(-1, -1) : ff_pos_[i];
 }
 
 std::vector<Val> ScanSequenceBuilder::base_vector(Val fill) const {

@@ -48,6 +48,10 @@ class ScanSequenceBuilder {
   /// Position of flip-flop `ff` as (chain index, position); (-1,-1) if not on
   /// any chain.
   std::pair<int, int> chain_position(NodeId ff) const;
+  /// The same positions per flip-flop in netlist dffs() order.
+  const std::vector<std::pair<int, int>>& ff_positions() const {
+    return ff_pos_;
+  }
 
   std::size_t max_chain_length() const;
 
@@ -55,6 +59,7 @@ class ScanSequenceBuilder {
   const Netlist& nl_;
   const ScanDesign& design_;
   std::vector<int> pi_index_;                 // node id -> inputs() index
+  std::vector<int> dff_index_;                // node id -> dffs() index
   std::vector<std::pair<int, int>> ff_pos_;   // dff order -> (chain, pos)
 };
 

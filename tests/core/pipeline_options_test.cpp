@@ -76,9 +76,7 @@ TEST(PipelineOptions, ManualDistanceParams) {
 
 TEST(PipelineOptions, VerifiedSequencesAlignWithDetections) {
   World w(503);
-  PipelineOptions opt;
-  opt.verify_seq = true;
-  const PipelineResult r = run_fsct_pipeline(w.model, w.faults, opt);
+  const PipelineResult r = run_fsct_pipeline(w.model, w.faults);
   EXPECT_EQ(r.s3_sequences.size(), r.s3_sequence_fault.size());
   EXPECT_EQ(r.s3_sequences.size(), r.s3_detected);
   for (std::size_t k = 0; k < r.s3_sequence_fault.size(); ++k) {

@@ -213,10 +213,8 @@ INSTANTIATE_TEST_SUITE_P(Circuits, TestExport,
 
 TEST(TestExport, ChainProgramWithStep3SequencesMatchesScalar) {
   World w(83);
-  PipelineOptions opt;
-  opt.verify_seq = true;
   const PipelineResult r =
-      run_fsct_pipeline(w.model, collapsed_fault_list(w.nl), opt);
+      run_fsct_pipeline(w.model, collapsed_fault_list(w.nl));
   ASSERT_FALSE(r.s3_sequences.empty());
   expect_scalar_exact(w.lv, make_chain_test_program(w.model, r), "seed 83");
 }

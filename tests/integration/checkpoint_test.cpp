@@ -2,10 +2,10 @@
 // its three contracts:
 //
 //   determinism   — a run that checkpoints at every safe point gives the
-//                   byte-identical normalized report of a plain run, counters
-//                   included, at jobs 1 and 4 on three suite circuits (the
-//                   matrix tests: the per-item registry fold must reproduce
-//                   the plain totals exactly),
+//                   byte-identical report of a plain run (raw counters,
+//                   attribution table and trace span names included) at
+//                   jobs 1 and 4 on three suite circuits (the matrix tests:
+//                   both runs take the one step-3 item path),
 //   crash safety  — SIGKILLing a whole checkpointing process mid-run loses
 //                   nothing but the in-flight work: a resume from the last
 //                   checkpoint completes byte-identically, also at another
@@ -187,37 +187,79 @@ INSTANTIATE_TEST_SUITE_P(Jobs, Shard, ::testing::Values(1, 4));
 
 // ---- determinism matrix ----------------------------------------------------
 // jobs {1,4}: a run checkpointing at every safe point diffs empty against the
-// same-jobs plain run, and its normalized run report is byte-identical
-// (counters included — the per-item registries must fold to the exact plain
-// totals).
+// same-jobs plain run, and reports what the plain run reports: the same
+// normalized run report, the same raw counters (pass and cycle counts
+// included) and the same multiset of trace span names.  Step-3 items run
+// one way whether or not a hook is set.
+
+std::vector<std::string> span_names(const ObsRegistry& reg) {
+  std::vector<std::string> names;
+  for (const ObsRegistry::SpanEvent& e : reg.trace_snapshot()) {
+    names.push_back(e.name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
 void run_matrix(const std::string& circuit, const std::vector<int>& jobs_list) {
   const std::unique_ptr<World> w = suite_world(circuit);
   const std::string ck = ckpt_path("matrix.ckpt");
   for (int jobs : jobs_list) {
+    auto observed = [jobs](ObsRegistry& reg) {
+      reg.enable_trace();
+      PipelineOptions opt = base_opt(jobs);
+      opt.obs = &reg;
+      return opt;
+    };
     ObsRegistry reg;
-    PipelineOptions opt = base_opt(jobs);
-    opt.obs = &reg;
-    const PipelineResult plain = run_fsct_pipeline(*w->model, w->faults, opt);
+    const PipelineResult plain =
+        run_fsct_pipeline(*w->model, w->faults, observed(reg));
 
     ObsRegistry creg;
-    PipelineOptions copt = base_opt(jobs);
-    copt.obs = &creg;
     CheckpointOptions co;
     co.path = ck;
     const PipelineResult checkpointed =
-        run_checkpointed_pipeline(*w->model, w->faults, copt, co);
+        run_checkpointed_pipeline(*w->model, w->faults, observed(creg), co);
     EXPECT_EQ(diff_pipeline_results(plain, checkpointed), "")
         << circuit << " jobs=" << jobs;
     EXPECT_EQ(report_of(creg, checkpointed), report_of(reg, plain))
         << circuit << " jobs=" << jobs
         << ": normalized report differs from the plain run";
+    EXPECT_EQ(creg.counters_json(), reg.counters_json())
+        << circuit << " jobs=" << jobs;
+    EXPECT_EQ(span_names(creg), span_names(reg))
+        << circuit << " jobs=" << jobs;
   }
 }
 
 TEST_P(Shard, MatrixIdenticalS1423) { run_matrix("s1423", {GetParam()}); }
 TEST(Shard, MatrixIdenticalS1488) { run_matrix("s1488", {1, 4}); }
 TEST(Shard, MatrixIdenticalS1494) { run_matrix("s1494", {1, 4}); }
+
+// s1494's step 3 verifies final detections, the work the item path once
+// charged differently under a hook: an uninterrupted checkpointed run keeps
+// the plain run's raw counters and attribution table at jobs 1 and 4.
+TEST(Shard, CheckpointedRunKeepsPlainCountersS1494) {
+  const std::unique_ptr<World> w = suite_world("s1494");
+  for (int jobs : {1, 4}) {
+    auto observed = [jobs](ObsRegistry& reg) {
+      reg.request_attribution();
+      PipelineOptions opt = base_opt(jobs);
+      opt.obs = &reg;
+      return opt;
+    };
+    ObsRegistry reg;
+    run_fsct_pipeline(*w->model, w->faults, observed(reg));
+    ObsRegistry creg;
+    CheckpointOptions co;
+    co.path = ckpt_path("counters.ckpt");
+    run_checkpointed_pipeline(*w->model, w->faults, observed(creg), co);
+    EXPECT_GT(reg.total(Ctr::SeqSimPackedPasses), 0u);
+    EXPECT_EQ(creg.counters_json(), reg.counters_json()) << "jobs=" << jobs;
+    EXPECT_EQ(creg.attribution_json(), reg.attribution_json())
+        << "jobs=" << jobs;
+  }
+}
 
 // The fold carries the per-fault attribution ledger too: a run stopped
 // mid-step-3 at jobs 4 and resumed at jobs 1 ends with the plain run's
@@ -234,9 +276,7 @@ TEST(Shard, CheckpointedRunKeepsAttributionTable) {
   ObsRegistry reg;
   run_fsct_pipeline(*w->model, w->faults, observed(reg, 4));
   const std::string want = reg.attribution_json();
-  // Pass and cycle counts legitimately differ (final items verify one by one
-  // on the reporting path); normalization drops them as it does in reports.
-  const std::string want_counters = normalized_report(reg.counters_json());
+  const std::string want_counters = reg.counters_json();
 
   ObsRegistry creg;
   CheckpointOptions co;
@@ -253,7 +293,7 @@ TEST(Shard, CheckpointedRunKeepsAttributionTable) {
   ro.resume_path = ck;
   run_checkpointed_pipeline(*w->model, w->faults, observed(rreg, 1), ro);
   EXPECT_EQ(rreg.attribution_json(), want);
-  EXPECT_EQ(normalized_report(rreg.counters_json()), want_counters);
+  EXPECT_EQ(rreg.counters_json(), want_counters);
 }
 
 // s1494 is the suite circuit whose step 3 detects faults (in its final

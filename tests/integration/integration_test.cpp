@@ -150,9 +150,7 @@ TEST(Integration, ChainTestProgramScreensEveryCoveredFault) {
   const Levelizer lv(nl);
   const ScanModeModel model(lv, d);
   const auto faults = collapsed_fault_list(nl);
-  PipelineOptions opt;
-  opt.verify_seq = true;
-  const PipelineResult r = run_fsct_pipeline(model, faults, opt);
+  const PipelineResult r = run_fsct_pipeline(model, faults);
 
   const TestProgram prog = make_chain_test_program(model, r);
   EXPECT_EQ(run_test_program(lv, prog), 0u) << "healthy device must pass";

@@ -92,8 +92,9 @@ fi
 # registry records from every executor, so its tests belong in the TSan set;
 # Bench. covers the heartbeat/status-dump monitor thread racing the pipeline;
 # Serve. covers the daemon's reader/worker threads sharing the model cache;
-# Shard. covers checkpointed runs, whose step-3 items fold their private
-# registries into the run's on the skeleton thread while others still run).
+# Shard. covers checkpointed runs, which like every observed run fold each
+# step-3 item's private registry into the run's on the skeleton thread while
+# other items still run).
 CONCURRENCY_TESTS='Parallel\.|Determinism\.|Obs\.|Selfcheck\.|Bench\.|Serve\.|Shard\.'
 
 # One configuration on every path: ATPG is bounded by backtrack budgets only,
@@ -439,12 +440,22 @@ EOF
   interrupt_and_resume TERM s3:2500 3
   grep -q -- "--resume" "$OBS_TMP/TERM.err"
   interrupt_and_resume KILL s3.group:1500 137
+  # A checkpointing run takes the same step-3 item path as a plain run, so
+  # even the pass and cycle counters the normalization drops must agree.
+  ./build/tools/fsct test s1494 --jobs 2 --metrics "$OBS_TMP/s1494_plain.json" \
+    > /dev/null
+  ./build/tools/fsct test s1494 --jobs 2 --metrics "$OBS_TMP/s1494_ckpt.json" \
+    --checkpoint "$OBS_TMP/s1494.ckpt" > /dev/null
+  python3 -c 'import json, sys
+a, b = (json.load(open(f))["counters"] for f in sys.argv[1:])
+sys.exit(a != b)' "$OBS_TMP/s1494_plain.json" "$OBS_TMP/s1494_ckpt.json"
   echo "check.sh: checkpoint smoke OK (SIGTERM and SIGKILL -> resume" \
-       "identical to an uninterrupted run)"
+       "identical to an uninterrupted run; raw counters of a checkpointed" \
+       "run equal a plain run's)"
 
   # Checkpoint overhead gate: periodic checkpointing (at most one write per
-  # second, the reporting path for every step-3 item) has to land inside the
-  # bench harness's noise window of a plain run.
+  # second, a safe-point hook on the one step-3 item path) has to land
+  # inside the bench harness's noise window of a plain run.
   cat > "$OBS_TMP/ckpt_bench.py" <<'EOF'
 import json, subprocess, sys, time
 fsct, out, extra = sys.argv[1], sys.argv[2], sys.argv[3:]
