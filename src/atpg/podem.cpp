@@ -10,7 +10,16 @@ namespace fsct {
 
 namespace {
 constexpr int kInfDist = std::numeric_limits<int>::max() / 2;
+
+// Per-net value sets, bit v for Val v (Zero = bit 0, One = bit 1).
+constexpr std::uint8_t kBoth = 3;
+std::uint8_t val_bit(Val v) {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(v));
 }
+std::uint8_t swap_bits(std::uint8_t b) {
+  return static_cast<std::uint8_t>(((b & 1u) << 1) | ((b >> 1) & 1u));
+}
+}  // namespace
 
 Podem::Podem(const Levelizer& lv, std::vector<char> controllable,
              std::vector<NodeId> observe, AtpgOptions opt)
@@ -40,6 +49,139 @@ Podem::Podem(const Levelizer& lv, std::vector<char> controllable,
   }
   xpath_mark_.assign(nl.size(), 0);
   frontier_mark_.assign(nl.size(), 0);
+  build_dead_walk_table();
+}
+
+// The dead-walk table.  dead_[n] bit v is set only when every backtrace walk
+// that reaches (n, v) returns false, whatever the current assignment.  Each
+// rule mirrors the walk's own choice at n, using two facts that hold in every
+// state PODEM can reach (uncontrollable inputs stay X; assignments only
+// refine X to binary):
+//   poss[n] bit v  -- n can carry v in the good machine (a structural
+//                     over-approximation; it is also the boolean shadow of
+//                     SCOAP, so !poss(n, v) implies cc(n, v) == kInfCost);
+//   fixed[n]       -- n's value with every input X; 3-valued simulation is
+//                     monotone, so a binary fixed[n] never changes.
+// The walk visits only nets at X, so it never steps into a fixed net.
+void Podem::build_dead_walk_table() {
+  const Netlist& nl = lv_.netlist();
+  const std::size_t n = nl.size();
+  std::vector<std::uint8_t> poss(n, 0);
+  std::vector<Val> fixed(n, Val::X);
+  // Sources: a controllable Input ends a successful walk; an uncontrollable
+  // Input, a constant or a Dff ends a failing one.
+  dead_.assign(n, kBoth);
+  for (NodeId id = 0; id < n; ++id) {
+    switch (nl.type(id)) {
+      case GateType::Input:
+        if (controllable_[id]) {
+          poss[id] = kBoth;
+          dead_[id] = 0;
+        }
+        break;
+      case GateType::Const0:
+        poss[id] = val_bit(Val::Zero);
+        fixed[id] = Val::Zero;
+        break;
+      case GateType::Const1:
+        poss[id] = val_bit(Val::One);
+        fixed[id] = Val::One;
+        break;
+      default:
+        break;
+    }
+  }
+  auto dead = [&](NodeId f, Val v) { return (dead_[f] & val_bit(v)) != 0; };
+  Val ins[kMaxFanin];
+  for (NodeId id : lv_.topo_order()) {
+    const GateType t = nl.type(id);
+    const auto fins = nl.fanins(id);
+    for (std::size_t p = 0; p < fins.size(); ++p) ins[p] = fixed[fins[p]];
+    fixed[id] = eval_gate(t, ins, fins.size());
+    std::uint8_t ps = 0, dd = 0;
+    switch (t) {
+      case GateType::Buf:
+        ps = poss[fins[0]];
+        dd = dead_[fins[0]];
+        break;
+      case GateType::Not:
+        ps = swap_bits(poss[fins[0]]);
+        dd = swap_bits(dead_[fins[0]]);
+        break;
+      case GateType::And:
+      case GateType::Nand:
+      case GateType::Or:
+      case GateType::Nor: {
+        const Val c = controlling_value(t);
+        bool any_c = false, all_nc = true;
+        bool dead_c = true, dead_nc = true, inf_pick = false,
+             inf_dead_nc = true;
+        for (NodeId f : fins) {
+          const bool nc_possible = (poss[f] & val_bit(!c)) != 0;
+          const bool nc_inf = scoap_.cc(f, c == Val::Zero) == kInfCost;
+          any_c |= (poss[f] & val_bit(c)) != 0;
+          all_nc &= nc_possible;
+          // A fanin that can never carry !c is X whenever the gate is X (it
+          // would control the gate otherwise), at cost kInfCost.
+          inf_pick |= !nc_possible && nc_inf;
+          if (fixed[f] != Val::X) continue;
+          dead_c &= dead(f, c);
+          dead_nc &= dead(f, !c);
+          if (nc_inf) inf_dead_nc &= dead(f, !c);
+        }
+        // Wanting the output the controlling value gives: the walk takes the
+        // cheapest X fanin towards c.  Wanting the other output: it takes the
+        // first costliest X fanin towards !c, whose cost is kInfCost when
+        // some fanin is stuck at X (inf_pick).
+        const Val out_c = is_inverting(t) ? !c : c;
+        if (any_c) ps |= val_bit(out_c);
+        if (all_nc) ps |= val_bit(!out_c);
+        if (dead_c) dd |= val_bit(out_c);
+        if (dead_nc || (inf_pick && inf_dead_nc)) dd |= val_bit(!out_c);
+        break;
+      }
+      case GateType::Xor:
+      case GateType::Xnor: {
+        // The walk takes the first X fanin, towards either value.
+        bool all_some = true, any_both = false, par = false, all_dead = true;
+        for (NodeId f : fins) {
+          all_some &= poss[f] != 0;
+          any_both |= poss[f] == kBoth;
+          par ^= poss[f] == val_bit(Val::One);
+          if (fixed[f] == Val::X) all_dead &= dead_[f] == kBoth;
+        }
+        if (all_some) {
+          ps = any_both ? kBoth
+                        : val_bit((par != (t == GateType::Xnor)) ? Val::One
+                                                                 : Val::Zero);
+        }
+        dd = all_dead ? kBoth : 0;
+        break;
+      }
+      case GateType::Mux: {
+        const NodeId sel = fins[0], d0 = fins[1], d1 = fins[2];
+        ps = static_cast<std::uint8_t>(
+            ((poss[sel] & val_bit(Val::Zero)) ? poss[d0] : 0) |
+            ((poss[sel] & val_bit(Val::One)) ? poss[d1] : 0) |
+            (poss[d0] & poss[d1]));
+        if (fixed[sel] == Val::Zero) {
+          dd = dead_[d0];
+        } else if (fixed[sel] == Val::One) {
+          dd = dead_[d1];
+        } else {
+          // The walk goes to a data input when the select is binary, else to
+          // the select towards either value.
+          dd = dead_[sel] == kBoth ? (dead_[d0] & dead_[d1]) : 0;
+        }
+        break;
+      }
+      default:
+        dd = kBoth;  // the walk fails on any other node type
+        break;
+    }
+    poss[id] = ps;
+    dead_[id] = dd;
+  }
 }
 
 bool Podem::detected() const { return sim_.any_observed_effect(); }
@@ -127,7 +269,8 @@ void Podem::find_objectives(std::span<const FaultSite> sites,
   // Propagation phase: build the D-frontier from nets carrying effects.
   // First-occurrence order (mark-array dedupe == the old linear-find dedupe).
   const SoaCircuit& soa = sim_.soa();
-  std::vector<NodeId> frontier;
+  std::vector<NodeId>& frontier = frontier_;
+  frontier.clear();
   for (NodeId net : sim_.effect_nets()) {
     const NodeId* fo = soa.fanout(net);
     const std::uint32_t nfo = soa.fanout_count(net);
@@ -161,8 +304,10 @@ bool Podem::x_path_exists(NodeId from) {
   // than an occasional wasted objective, so past the cap we optimistically
   // report "path exists".
   constexpr std::size_t kVisitCap = 600;
-  std::vector<NodeId> stack{from};
-  std::vector<NodeId> visited{from};
+  std::vector<NodeId>& stack = xpath_stack_;
+  std::vector<NodeId>& visited = xpath_visited_;
+  stack.assign(1, from);
+  visited.assign(1, from);
   xpath_mark_[from] = 1;
   bool found = false;
   while (!stack.empty() && !found) {
@@ -199,6 +344,7 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
   Val val = obj.val;
   // The walk strictly descends in level, so it terminates.
   for (;;) {
+    if (walk_dead(net, val)) return false;
     const GateType t = soa.type(net);
     if (t == GateType::Input || t == GateType::Dff) {
       if (t == GateType::Input && controllable_[net] &&

@@ -6,8 +6,15 @@
 // event-driven forward simulation (PairSim), so the search is the classic
 // PODEM decision tree over primary-input assignments with backtrace guided by
 // SCOAP controllability and a static distance-to-observation measure.
+//
+// Backtrace consults a dead-walk table built once per model: a walk that
+// reaches an entry the table marks dead returns false at once instead of
+// following the scan-mux/buffer chain down to an uncontrollable input.  The
+// table is exact with respect to the walk (it marks only entries whose walk
+// fails in every simulation state), so decisions and results are unchanged.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -64,6 +71,12 @@ class Podem {
 
   const Levelizer& levelizer() const { return lv_; }
 
+  /// True when the dead-walk table marks (net, v): a backtrace walk that
+  /// reaches `net` at X with value `v` wanted returns false.
+  bool walk_dead(NodeId net, Val v) const {
+    return (dead_[net] >> static_cast<unsigned>(v)) & 1u;
+  }
+
  private:
   struct Objective {
     NodeId net = kNullNode;
@@ -77,6 +90,7 @@ class Podem {
   void side_input_objectives(NodeId gate, std::vector<Objective>& out) const;
   bool backtrace(Objective obj, NodeId& pi, Val& pv) const;
   bool x_path_exists(NodeId from);
+  void build_dead_walk_table();
 
   const Levelizer& lv_;
   std::vector<char> controllable_;
@@ -86,7 +100,11 @@ class Podem {
   Scoap scoap_;
   AtpgOptions opt_;
   PairSim sim_;
+  std::vector<std::uint8_t> dead_;  // bit v set: walk_dead(net, v)
   std::vector<char> xpath_mark_;     // scratch
+  std::vector<NodeId> xpath_stack_;  // scratch: x_path_exists DFS
+  std::vector<NodeId> xpath_visited_;
+  std::vector<NodeId> frontier_;     // scratch: find_objectives D-frontier
   std::vector<char> frontier_mark_;  // scratch: D-frontier dedupe
 };
 

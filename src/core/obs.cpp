@@ -119,6 +119,17 @@ const char* attr_name(Attr a) {
   return kAttrNames[static_cast<std::size_t>(a)];
 }
 
+bool attr_ranks_before(const std::array<std::uint64_t, kNumAttrs>& a,
+                       std::int64_t a_id,
+                       const std::array<std::uint64_t, kNumAttrs>& b,
+                       std::int64_t b_id) {
+  for (Attr c : {Attr::PodemDecisions, Attr::SeqCycles}) {
+    const std::size_t i = static_cast<std::size_t>(c);
+    if (a[i] != b[i]) return a[i] > b[i];
+  }
+  return a_id < b_id;
+}
+
 namespace {
 
 // The status registry: one process-wide "current run" pointer the SIGUSR1 /
@@ -905,20 +916,9 @@ void ObsRegistry::write_run_report(std::ostream& os, const PipelineResult& r,
       }
       if (any) ids.push_back(f);
     }
-    auto col = [&](std::size_t f, Attr a) {
-      return rows[f][static_cast<std::size_t>(a)];
-    };
     std::sort(ids.begin(), ids.end(), [&](std::size_t x, std::size_t y) {
-      if (col(x, Attr::WallNanos) != col(y, Attr::WallNanos)) {
-        return col(x, Attr::WallNanos) > col(y, Attr::WallNanos);
-      }
-      if (col(x, Attr::PodemDecisions) != col(y, Attr::PodemDecisions)) {
-        return col(x, Attr::PodemDecisions) > col(y, Attr::PodemDecisions);
-      }
-      if (col(x, Attr::SeqCycles) != col(y, Attr::SeqCycles)) {
-        return col(x, Attr::SeqCycles) > col(y, Attr::SeqCycles);
-      }
-      return x < y;
+      return attr_ranks_before(rows[x], static_cast<std::int64_t>(x), rows[y],
+                               static_cast<std::int64_t>(y));
     });
     os << "{\"enabled\": true, \"faults\": " << attr_faults_
        << ", \"active\": " << ids.size() << ", \"columns\": [";

@@ -105,7 +105,7 @@ enum class Hist : std::uint16_t {
 /// length when it stays undetected) — a pure per-fault function — rather
 /// than the pass-granular SeqSimCycles counter, which legitimately varies
 /// with lane packing.  WallNanos is wall-clock and schedule-dependent by
-/// nature; it is the ranking signal for hotlists and is excluded from the
+/// nature; hotlists show it but never rank by it, and it is excluded from the
 /// deterministic table/JSON.
 enum class Attr : std::uint16_t {
   PodemCalls,       ///< Podem::generate calls targeting this fault
@@ -131,6 +131,15 @@ const char* counter_name(Ctr c);
 const char* gauge_name(Gauge g);
 const char* hist_name(Hist h);
 const char* attr_name(Attr a);
+
+/// Hotlist order of two attribution rows (kNumAttrs columns in Attr order)
+/// by deterministic work alone: more PODEM decisions first, then more
+/// resolved sequential cycles, then the lower id.  WallNanos never ranks, so
+/// identical runs give identical hotlists.
+bool attr_ranks_before(const std::array<std::uint64_t, kNumAttrs>& a,
+                       std::int64_t a_id,
+                       const std::array<std::uint64_t, kNumAttrs>& b,
+                       std::int64_t b_id);
 
 /// Optional sidecar naming the fault ids in attribution output; built by
 /// make_attr_context (core/profile.h) from the netlist + collapsed fault

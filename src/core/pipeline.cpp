@@ -109,7 +109,7 @@ struct Skeleton {
   double cpu0 = 0;
   std::optional<std::vector<std::size_t>> hard_idx = {};
   std::shared_ptr<const DominanceInfo> dom = {};
-  std::shared_ptr<const std::vector<std::vector<std::size_t>>> domsets = {};
+  std::shared_ptr<const FaultAdjacency> domsets = {};
   std::shared_ptr<const std::vector<Cost>> fcost = {};
 
   void run(PipelinePhase p) {
@@ -229,8 +229,7 @@ void Skeleton::build_dominance() {
     return;
   }
   dom = std::make_shared<DominanceInfo>(collapse_dominant(nl, faults));
-  domsets = std::make_shared<std::vector<std::vector<std::size_t>>>(
-      dominated_sets(nl, faults));
+  domsets = std::make_shared<FaultAdjacency>(dominated_sets(nl, faults));
   std::vector<char> controllable(nl.size(), 0);
   for (NodeId pi : nl.inputs()) {
     controllable[pi] = !model.design().is_constrained(pi);

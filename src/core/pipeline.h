@@ -41,7 +41,7 @@ struct PipelineState;
 /// whether a cache was warm.  Either provide all three or none.
 struct PipelineCompiled {
   std::shared_ptr<const DominanceInfo> dom;
-  std::shared_ptr<const std::vector<std::vector<std::size_t>>> domsets;
+  std::shared_ptr<const FaultAdjacency> domsets;
   std::shared_ptr<const std::vector<Cost>> fcost;
 };
 

@@ -26,19 +26,8 @@ std::string gate_name_of(const std::string& fault_name) {
 }
 
 bool row_rank(const ProfileFaultRow& a, const ProfileFaultRow& b) {
-  auto col = [](const ProfileFaultRow& r, Attr c) {
-    return r.work[static_cast<std::size_t>(c)];
-  };
-  if (col(a, Attr::WallNanos) != col(b, Attr::WallNanos)) {
-    return col(a, Attr::WallNanos) > col(b, Attr::WallNanos);
-  }
-  if (col(a, Attr::PodemDecisions) != col(b, Attr::PodemDecisions)) {
-    return col(a, Attr::PodemDecisions) > col(b, Attr::PodemDecisions);
-  }
-  if (col(a, Attr::SeqCycles) != col(b, Attr::SeqCycles)) {
-    return col(a, Attr::SeqCycles) > col(b, Attr::SeqCycles);
-  }
-  return a.id < b.id;
+  return attr_ranks_before(a.work, static_cast<std::int64_t>(a.id), b.work,
+                           static_cast<std::int64_t>(b.id));
 }
 
 void work_json(std::string& out, const std::array<std::uint64_t, kNumAttrs>& w) {
@@ -123,12 +112,7 @@ ProfileDoc build_profile(const ObsRegistry& reg, const AttrContext& ctx,
   for (auto& [key, agg] : by_gate) doc.gates.push_back(std::move(agg));
   std::sort(doc.gates.begin(), doc.gates.end(),
             [](const ProfileAgg& a, const ProfileAgg& b) {
-              const std::size_t w = static_cast<std::size_t>(Attr::WallNanos);
-              const std::size_t d =
-                  static_cast<std::size_t>(Attr::PodemDecisions);
-              if (a.work[w] != b.work[w]) return a.work[w] > b.work[w];
-              if (a.work[d] != b.work[d]) return a.work[d] > b.work[d];
-              return a.key < b.key;
+              return attr_ranks_before(a.work, a.key, b.work, b.key);
             });
   if (top_k && doc.gates.size() > top_k) doc.gates.resize(top_k);
   for (auto& [key, agg] : by_level) doc.levels.push_back(std::move(agg));

@@ -2,16 +2,16 @@
 // span tree.
 //
 // build_profile turns a finished run's ObsRegistry into a ProfileDoc: the
-// top-K hardest faults (ranked by attributed PODEM wall, then decisions, then
-// resolved sequential cycles), per-gate and per-level activity rollups
-// (through AttrContext, which maps fault ids to gates/levels/dominance
-// representatives), and a per-phase self/total aggregation of the recorded
-// spans.  The document serializes as versioned `fsct-profile-v1` JSON, as a
-// folded-stack flamegraph ("path;leaf self_us" lines, one per stack, the
-// format flamegraph.pl and speedscope ingest), and as a human table (`fsct
-// profile`).  parse_profile_json re-reads a profile document — or the
-// attribution section of a `fsct-run-report-v2` — so saved reports can be
-// re-ranked offline.
+// top-K hardest faults (ranked by deterministic work: PODEM decisions, then
+// resolved sequential cycles, then fault id; wall is shown, never ranked),
+// per-gate and per-level activity rollups (through AttrContext, which maps
+// fault ids to gates/levels/dominance representatives), and a per-phase
+// self/total aggregation of the recorded spans.  The document serializes as
+// versioned `fsct-profile-v1` JSON, as a folded-stack flamegraph ("path;leaf
+// self_us" lines, one per stack, the format flamegraph.pl and speedscope
+// ingest), and as a human table (`fsct profile`).  parse_profile_json
+// re-reads a profile document — or the attribution section of a
+// `fsct-run-report-v2` — so saved reports can be re-ranked offline.
 #pragma once
 
 #include <array>

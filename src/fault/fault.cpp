@@ -276,8 +276,8 @@ DominanceInfo collapse_dominant(const Netlist& nl,
   return di;
 }
 
-std::vector<std::vector<std::size_t>> dominated_sets(
-    const Netlist& nl, std::span<const Fault> collapsed) {
+FaultAdjacency dominated_sets(const Netlist& nl,
+                              std::span<const Fault> collapsed) {
   std::vector<std::vector<std::size_t>> out(collapsed.size());
 
   const std::vector<Fault> universe = all_faults(nl);
@@ -319,13 +319,19 @@ std::vector<std::vector<std::size_t>> dominated_sets(
   // same dominated index from several sites — and, through a class cycle,
   // even itself.  Deduplicate and drop self-edges so transitive worklist
   // propagation terminates.
+  FaultAdjacency adj;
+  adj.offsets.reserve(out.size() + 1);
+  adj.offsets.push_back(0);
   for (std::size_t i = 0; i < out.size(); ++i) {
     auto& v = out[i];
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
     v.erase(std::remove(v.begin(), v.end(), i), v.end());
+    adj.ids.insert(adj.ids.end(), v.begin(), v.end());
+    adj.offsets.push_back(static_cast<std::uint32_t>(adj.ids.size()));
   }
-  return out;
+  adj.ids.shrink_to_fit();
+  return adj;
 }
 
 }  // namespace fsct

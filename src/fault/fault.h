@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -101,7 +102,19 @@ DominanceInfo collapse_dominant(const Netlist& nl,
 /// is combinationally untestable transfers to every listed fault, and
 /// transitively to their own sets.  The reverse direction (detection credit)
 /// is NOT sound and is never derived from this table.
-std::vector<std::vector<std::size_t>> dominated_sets(
-    const Netlist& nl, std::span<const Fault> collapsed);
+///
+/// Stored compressed (one offset per fault plus the listed indices): a
+/// served compiled model keeps the table for its lifetime, and most faults
+/// list nothing.
+struct FaultAdjacency {
+  /// List i is ids[offsets[i] .. offsets[i + 1]); one entry per fault + 1.
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> ids;
+  std::span<const std::uint32_t> operator[](std::size_t i) const {
+    return {ids.data() + offsets[i], ids.data() + offsets[i + 1]};
+  }
+};
+FaultAdjacency dominated_sets(const Netlist& nl,
+                              std::span<const Fault> collapsed);
 
 }  // namespace fsct

@@ -248,13 +248,18 @@ std::shared_ptr<const CompiledModel> build_model(const ServeRequest& req) {
     throw std::runtime_error("scan-mode invariant violated: " + err);
   }
   cm->faults = collapsed_fault_list(cm->nl);
+  // The cache keeps the model for its lifetime: drop the growth slack of
+  // the fault list and (below) of the dominance targets.
+  cm->faults.shrink_to_fit();
 
   // Precompute the dominance artifacts exactly as run_fsct_pipeline would
   // (same inputs, same calls — reuse must be invisible to results).
-  cm->compiled.dom =
+  auto dom =
       std::make_shared<DominanceInfo>(collapse_dominant(cm->nl, cm->faults));
-  cm->compiled.domsets = std::make_shared<std::vector<std::vector<std::size_t>>>(
-      dominated_sets(cm->nl, cm->faults));
+  dom->targets.shrink_to_fit();
+  cm->compiled.dom = std::move(dom);
+  cm->compiled.domsets =
+      std::make_shared<FaultAdjacency>(dominated_sets(cm->nl, cm->faults));
   std::vector<char> controllable(cm->nl.size(), 0);
   for (NodeId pi : cm->nl.inputs()) {
     controllable[pi] = !cm->design.is_constrained(pi);
@@ -275,7 +280,9 @@ std::shared_ptr<const CompiledModel> build_model(const ServeRequest& req) {
   std::size_t bytes = 1 << 16;
   bytes += cm->nl.size() * 160;
   bytes += cm->faults.size() * 64;
-  for (const auto& s : *cm->compiled.domsets) bytes += 16 + s.size() * 8;
+  bytes += (cm->compiled.domsets->offsets.size() +
+            cm->compiled.domsets->ids.size()) *
+           sizeof(std::uint32_t);
   bytes += cm->compiled.fcost->size() * sizeof(Cost);
   cm->approx_bytes = bytes;
   return cm;

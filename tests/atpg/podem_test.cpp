@@ -239,5 +239,200 @@ TEST_P(PodemRandom, DetectedTestsAreRealAndCoverageHigh) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PodemRandom,
                          ::testing::Values(11ull, 22ull, 33ull, 44ull));
 
+// ---- Dead-walk table vs. the backtrace walk ---------------------------------
+
+// Reference: Podem's backtrace walk without the dead-walk table.  From an X
+// objective it follows SCOAP-guided fanin choices down to a source; true when
+// it ends at an X controllable Input.  `g` holds the good-machine values.
+bool reference_walk(const Netlist& nl, const Scoap& sc,
+                    const std::vector<char>& ctrl, const std::vector<Val>& g,
+                    NodeId net, Val val) {
+  for (;;) {
+    const GateType t = nl.type(net);
+    if (t == GateType::Input) return ctrl[net] && g[net] == Val::X;
+    if (t == GateType::Dff || t == GateType::Const0 || t == GateType::Const1) {
+      return false;
+    }
+    const auto fins = nl.fanins(net);
+    if (t == GateType::Buf || t == GateType::Not) {
+      net = fins[0];
+      if (t == GateType::Not) val = !val;
+      continue;
+    }
+    if (t == GateType::Xor || t == GateType::Xnor) {
+      const bool parity =
+          (t == GateType::Xor) ? (val == Val::One) : (val == Val::Zero);
+      NodeId chosen = kNullNode;
+      int unknowns = 0;
+      bool known_par = false;
+      for (NodeId in : fins) {
+        if (g[in] == Val::X) {
+          ++unknowns;
+          if (chosen == kNullNode) chosen = in;
+        } else {
+          known_par ^= (g[in] == Val::One);
+        }
+      }
+      if (chosen == kNullNode) return false;
+      if (unknowns == 1) {
+        val = (parity != known_par) ? Val::One : Val::Zero;
+      } else {
+        val = (sc.cc0[chosen] <= sc.cc1[chosen]) ? Val::Zero : Val::One;
+      }
+      net = chosen;
+      continue;
+    }
+    if (t == GateType::Mux) {
+      const NodeId sel = fins[0], d0 = fins[1], d1 = fins[2];
+      if (g[sel] != Val::X) {
+        net = g[sel] == Val::Zero ? d0 : d1;
+        continue;
+      }
+      const Cost c0 = sc.cc(d0, val == Val::One);
+      const Cost c1 = sc.cc(d1, val == Val::One);
+      net = sel;
+      val = (c0 <= c1) ? Val::Zero : Val::One;
+      continue;
+    }
+    // AND family.
+    const Val c = controlling_value(t);
+    const Val inner = is_inverting(t) ? !val : val;
+    NodeId best = kNullNode;
+    Cost best_cost = inner == c ? kInfCost + 1 : 0;
+    for (NodeId in : fins) {
+      if (g[in] != Val::X) continue;
+      const Cost cc = sc.cc(in, inner == c ? c == Val::One : c == Val::Zero);
+      if (inner == c ? cc < best_cost
+                     : (best == kNullNode || cc > best_cost)) {
+        best_cost = cc;
+        best = in;
+      }
+    }
+    if (best == kNullNode) return false;
+    net = best;
+    val = inner == c ? c : !c;
+  }
+}
+
+// Random combinational logic with the shapes the table has rules for:
+// AND-family gates, XOR/XNOR, MUXes (some with constant selects), buffer and
+// inverter chains, and constants.
+Netlist random_walk_circuit(std::mt19937_64& rng) {
+  Netlist nl("walk");
+  std::vector<NodeId> pool;
+  const int pis = 6 + static_cast<int>(rng() % 6);
+  for (int i = 0; i < pis; ++i) {
+    pool.push_back(nl.add_input("i" + std::to_string(i)));
+  }
+  pool.push_back(nl.add_const(false, "c0"));
+  pool.push_back(nl.add_const(true, "c1"));
+  const int gates = 30 + static_cast<int>(rng() % 50);
+  auto pick = [&] {
+    // Bias towards recent nodes so chains get deep.
+    const std::size_t n = pool.size();
+    const std::size_t span = std::min<std::size_t>(n, 12);
+    return (rng() % 3 == 0) ? pool[rng() % n] : pool[n - 1 - rng() % span];
+  };
+  constexpr GateType kTypes[] = {
+      GateType::And, GateType::Nand, GateType::Or,  GateType::Nor,
+      GateType::Xor, GateType::Xnor, GateType::Mux, GateType::Buf,
+      GateType::Not, GateType::Mux,  GateType::Buf, GateType::And};
+  for (int i = 0; i < gates; ++i) {
+    const GateType t = kTypes[rng() % std::size(kTypes)];
+    std::vector<NodeId> fins;
+    if (t == GateType::Buf || t == GateType::Not) {
+      fins = {pick()};
+    } else if (t == GateType::Mux) {
+      fins = {pick(), pick(), pick()};
+    } else {
+      const int k = 1 + static_cast<int>(rng() % 3);
+      for (int j = 0; j < k; ++j) fins.push_back(pick());
+    }
+    pool.push_back(nl.add_gate(t, std::move(fins), "g" + std::to_string(i)));
+  }
+  nl.mark_output(pool.back());
+  return nl;
+}
+
+// Good-machine values of every net under `assign` (X = unassigned).
+std::vector<Val> good_values(const Levelizer& lv,
+                             const std::vector<Val>& assign) {
+  const Netlist& nl = lv.netlist();
+  std::vector<Val> g(nl.size(), Val::X);
+  for (NodeId id = 0; id < nl.size(); ++id) {
+    if (nl.type(id) == GateType::Input) g[id] = assign[id];
+    if (nl.type(id) == GateType::Const0) g[id] = Val::Zero;
+    if (nl.type(id) == GateType::Const1) g[id] = Val::One;
+  }
+  Val ins[kMaxFanin];
+  for (NodeId id : lv.topo_order()) {
+    const auto fins = nl.fanins(id);
+    for (std::size_t p = 0; p < fins.size(); ++p) ins[p] = g[fins[p]];
+    g[id] = eval_gate(nl.type(id), ins, fins.size());
+  }
+  return g;
+}
+
+struct WalkCheck {
+  std::size_t dead_checked = 0;  // (X net, value) pairs marked dead
+  std::size_t unsound = 0;       // ... whose reference walk succeeded
+};
+
+// Runs the reference walk from every X net towards both values under random
+// partial assignments of `circuits` random circuits, and counts the entries
+// the table marks dead although the walk succeeds.  `unsound_mux` swaps in a
+// wrong MUX rule -- copy d1's entry whenever the select is not fixed -- to
+// show that the check catches one.
+WalkCheck check_dead_table(std::uint64_t seed, int circuits,
+                           bool unsound_mux) {
+  std::mt19937_64 rng(seed);
+  WalkCheck out;
+  for (int c = 0; c < circuits; ++c) {
+    const Netlist nl = random_walk_circuit(rng);
+    const Levelizer lv(nl);
+    std::vector<char> ctrl(nl.size(), 0);
+    for (NodeId pi : nl.inputs()) ctrl[pi] = rng() % 2;
+    const Podem podem(lv, ctrl, nl.outputs());
+    const Scoap sc = compute_scoap(lv, ctrl);
+    // Each net's value with every input X.
+    const std::vector<Val> fixed =
+        good_values(lv, std::vector<Val>(nl.size(), Val::X));
+    auto dead = [&](NodeId n, Val v) {
+      if (unsound_mux && nl.type(n) == GateType::Mux &&
+          fixed[nl.fanins(n)[0]] == Val::X) {
+        return podem.walk_dead(nl.fanins(n)[2], v);
+      }
+      return podem.walk_dead(n, v);
+    };
+    for (int a = 0; a < 12; ++a) {
+      std::vector<Val> assign(nl.size(), Val::X);
+      for (NodeId pi : nl.inputs()) {
+        const unsigned r = static_cast<unsigned>(rng() % 3);
+        if (ctrl[pi] && r < 2) assign[pi] = r ? Val::One : Val::Zero;
+      }
+      const std::vector<Val> g = good_values(lv, assign);
+      for (NodeId n = 0; n < nl.size(); ++n) {
+        if (g[n] != Val::X) continue;
+        for (Val v : {Val::Zero, Val::One}) {
+          if (!dead(n, v)) continue;
+          ++out.dead_checked;
+          out.unsound += reference_walk(nl, sc, ctrl, g, n, v);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Every (X net, value) the dead-walk table marks is one whose walk fails, in
+// every state the random assignments reach.
+TEST(Podem, DeadWalkTableMatchesWalk) {
+  const WalkCheck real = check_dead_table(2024, 300, false);
+  EXPECT_GT(real.dead_checked, 1000u);
+  EXPECT_EQ(real.unsound, 0u);
+  // The check bites.
+  EXPECT_GT(check_dead_table(2024, 300, true).unsound, 0u);
+}
+
 }  // namespace
 }  // namespace fsct

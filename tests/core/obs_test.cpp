@@ -8,6 +8,7 @@
 
 #include "bench_circuits/paper_examples.h"
 #include "bench_circuits/suite.h"
+#include "core/json.h"
 #include "core/pipeline.h"
 #include "scan/tpi.h"
 
@@ -299,6 +300,41 @@ TEST(Obs, RunReportV2CarriesAttributionTopList) {
                           "wall_nanos", "credit_events"}) {
     EXPECT_NE(rep.find(key), std::string::npos) << key;
   }
+}
+
+// The run report's attribution hotlist ranks by deterministic work only, so
+// identical runs (and runs at other job counts) list the same fault ids in
+// the same order with the same work; only the wall column may differ.
+TEST(Obs, AttributionTopListIsDeterministic) {
+  Built b(build_suite_circuit(suite_entry("s1494")));
+  // Per top-list row: the fault id, then every column but wall_nanos.
+  auto top_rows = [&](int jobs) {
+    ObsRegistry reg;
+    PipelineResult r;
+    attr_run(b, jobs, 0, &reg, &r);
+    std::ostringstream os;
+    reg.write_run_report(os, r);
+    const std::string rep = os.str();
+    const JVal doc = JsonParser(rep, "report").parse();
+    const JVal* top = doc.find("attribution")->find("top");
+    std::vector<std::vector<double>> rows;
+    for (const JVal& e : top->arr) {
+      std::vector<double> row{e.find("id")->num};
+      const std::vector<JVal>& work = e.find("work")->arr;
+      EXPECT_EQ(work.size(), kNumAttrs);
+      for (std::size_t a = 0; a < kNumAttrs; ++a) {
+        if (a != static_cast<std::size_t>(Attr::WallNanos)) {
+          row.push_back(work[a].num);
+        }
+      }
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  };
+  const auto first = top_rows(4);
+  ASSERT_GT(first.size(), 1u);
+  EXPECT_EQ(first, top_rows(4));
+  EXPECT_EQ(first, top_rows(1));
 }
 
 TEST(Obs, TraceLimitDropsEventsAndMarksTruncation) {

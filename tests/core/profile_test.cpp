@@ -46,11 +46,11 @@ TEST(Profile, AttrContextNamesGatesLevelsAndReps) {
   }
 }
 
-// Builds a 4-fault synthetic ledger with a known ranking:
-//   fault 2: most wall           -> rank 1
-//   fault 0: no wall, 50 decisions -> rank 2
-//   fault 3: no wall, 10 decisions -> rank 3
-//   fault 1: cycles only           -> rank 4
+// Builds a 4-fault synthetic ledger with a known ranking (wall never ranks):
+//   fault 0: 50 decisions            -> rank 1
+//   fault 3: 10 decisions            -> rank 2
+//   fault 2: 1 decision, most wall   -> rank 3
+//   fault 1: cycles only             -> rank 4
 void charge_synthetic(ObsRegistry& reg) {
   reg.request_attribution();
   reg.init_attribution(4);
@@ -80,12 +80,12 @@ TEST(Profile, RanksFaultsAndRollsUpGatesAndLevels) {
   EXPECT_EQ(doc.faults, 4u);
   EXPECT_EQ(doc.active, 4u);
   ASSERT_EQ(doc.top.size(), 3u);  // top_k truncates the hotlist
-  EXPECT_EQ(doc.top[0].id, 2u);   // wall dominates
-  EXPECT_EQ(doc.top[1].id, 0u);   // then decisions
-  EXPECT_EQ(doc.top[2].id, 3u);
-  EXPECT_EQ(doc.top[0].name, "b/1 s-a-0");
-  EXPECT_EQ(doc.top[0].gate, 9);
-  EXPECT_EQ(doc.top[0].level, 2);
+  EXPECT_EQ(doc.top[0].id, 0u);   // decisions rank
+  EXPECT_EQ(doc.top[1].id, 3u);
+  EXPECT_EQ(doc.top[2].id, 2u);   // the most wall does not
+  EXPECT_EQ(doc.top[2].name, "b/1 s-a-0");
+  EXPECT_EQ(doc.top[2].gate, 9);
+  EXPECT_EQ(doc.top[2].level, 2);
 
   // Gate 7 carries faults 0 and 1 merged; the gate name drops the s-a part.
   const ProfileAgg* g7 = nullptr;

@@ -152,6 +152,33 @@ TEST(Golden, SuiteCoverageConformance) {
   }
 }
 
+// Pins the PODEM search on s1423 at its suite chain count, the `fsct test
+// s1423` run: its step-3 finals abort on long time-frame-expanded models, so
+// any change to objective order, backtrace choice or backtracking moves these
+// counts.  They are identical at any job count.
+TEST(Golden, S1423PodemSearch) {
+  const SuiteEntry e = suite_entry("s1423");
+  Netlist nl = build_suite_circuit(e);
+  TpiOptions topt;
+  topt.num_chains = e.chains;
+  const ScanDesign d = run_tpi(nl, topt);
+  const Levelizer lv(nl);
+  const ScanModeModel model(lv, d);
+  const auto faults = collapsed_fault_list(nl);
+  for (int jobs : {1, 4}) {
+    PipelineOptions opt;
+    opt.verify_easy = true;
+    opt.jobs = jobs;
+    ObsRegistry obs;
+    opt.obs = &obs;
+    run_fsct_pipeline(model, faults, opt);
+    EXPECT_EQ(obs.total(Ctr::PodemCalls), 87u) << "jobs=" << jobs;
+    EXPECT_EQ(obs.total(Ctr::PodemDecisions), 41849u) << "jobs=" << jobs;
+    EXPECT_EQ(obs.total(Ctr::PodemBacktracks), 41693u) << "jobs=" << jobs;
+    EXPECT_EQ(obs.total(Ctr::PodemAborts), 7u) << "jobs=" << jobs;
+  }
+}
+
 TEST(Golden, Figure2Model) {
   ExampleDesign e = paper_figure2();
   const NetlistStats s = compute_stats(e.nl);
