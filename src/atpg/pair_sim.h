@@ -6,10 +6,13 @@
 // fault is a set of FaultSite overrides applied to the faulty component only;
 // multiple sites model the same stuck-at fault replicated across time frames.
 //
-// set_source() performs event-driven forward update, so PODEM's
-// assign/unassign cycle costs only the affected cone.
+// set_source() performs event-driven forward update, so a PODEM assignment
+// costs only the affected cone.  Every change after init() is recorded on an
+// undo trail: PODEM un-assigns a decision with undo_to(mark) and gets back
+// the exact values it held before, without re-evaluating the cone.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -45,8 +48,9 @@ class PairSim {
  public:
   explicit PairSim(const Levelizer& lv);
 
-  /// Resets all nets to X, installs the fault sites, and settles the circuit
-  /// (constants propagate).  Must be called before set_source.
+  /// Resets all nets to X, installs the fault sites, settles the circuit
+  /// (constants propagate) and empties the undo trail.  Must be called
+  /// before set_source.
   void init(std::span<const FaultSite> sites);
 
   /// Assigns the good value of a source node (Val::X un-assigns) and
@@ -54,8 +58,17 @@ class PairSim {
   /// site overrides it.
   void set_source(NodeId src, Val v);
 
+  /// Current position of the undo trail.
+  std::size_t mark() const { return trail_.size(); }
+
+  /// Restores every net to its value at `mark` (a value of mark() taken
+  /// since the last init()), newest change first.  The state is a pure
+  /// function of the source assignments, so undoing an assignment gives
+  /// exactly what set_source(src, Val::X) would compute.
+  void undo_to(std::size_t mark);
+
   /// Current pair value of a net.
-  PairVal value(NodeId n) const { return values_[n]; }
+  PairVal value(NodeId n) const { return node_[n].val; }
 
   /// True if any net currently carries D/D'.
   bool any_effect() const { return effect_count_ > 0; }
@@ -78,25 +91,44 @@ class PairSim {
   const SoaCircuit& soa() const { return *soa_; }
 
  private:
+  // Everything propagation touches per node, in one 8-byte record: the
+  // level (read on every enqueue), the pair, the faulty output force and
+  // the flag bits.
+  struct NodeState {
+    std::uint32_t level = 0;
+    PairVal val;
+    Val out_override = Val::X;  // faulty output force (X = none)
+    std::uint8_t flags = 0;     // k* bits below
+  };
+  static_assert(sizeof(NodeState) == 8);
+  static constexpr std::uint8_t kPinSites = 1;      // has entries in pin_sites_
+  static constexpr std::uint8_t kEffect = 2;        // carries D/D' now
+  static constexpr std::uint8_t kInEffectList = 4;  // listed in effect_list_
+  static constexpr std::uint8_t kObserved = 8;      // set_observed() mask
+  static constexpr std::uint8_t kQueued = 16;       // in a propagation bucket
+
+  struct TrailEntry {
+    NodeId node;
+    PairVal old;
+  };
+
   PairVal eval_node(NodeId id) const;
   void propagate_from(NodeId src);
   void note_change(NodeId id, PairVal nv);
+  void record_change(NodeId id, PairVal nv);
 
   const Levelizer& lv_;
   std::shared_ptr<const SoaCircuit> soa_;
-  std::vector<PairVal> values_;
-  std::vector<Val> out_override_;          // faulty output forces (X = none)
-  std::vector<std::vector<FaultSite>> pin_sites_;  // per node, sparse
-  std::vector<char> has_pin_sites_;
-  std::vector<char> effect_flag_;
-  std::vector<char> in_effect_list_;
-  std::vector<NodeId> effect_list_;  // may contain stale entries; compacted
+  std::vector<NodeState> node_;
+  std::vector<FaultSite> pin_sites_;  // the pin sites, stably sorted by node
+  std::vector<NodeId> effect_list_;   // may contain stale entries; compacted
   std::size_t effect_count_ = 0;
-  std::vector<char> observed_;
   std::size_t observed_effect_count_ = 0;
-  // scratch for propagation
+  std::vector<TrailEntry> trail_;  // (net, value before the change)
+  // scratch for propagation: one bucket per level, and a bitmap of the
+  // levels whose bucket is non-empty
   std::vector<std::vector<NodeId>> buckets_;
-  std::vector<char> queued_;
+  std::vector<std::uint64_t> level_bits_;
 };
 
 }  // namespace fsct

@@ -499,6 +499,7 @@ AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
     NodeId pi;
     Val val;
     bool flipped;
+    std::size_t mark;  // sim_ trail position before the assignment
   };
   std::vector<Decision> stack;
   AtpgResult res;
@@ -527,13 +528,15 @@ AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
     }
 
     if (ok) {
-      stack.push_back({pi, pv, false});
+      stack.push_back({pi, pv, false, sim_.mark()});
       sim_.set_source(pi, pv);
       ++res.decisions;
     } else {
       // Backtrack: unwind fully-tried decisions, flip the last open one.
+      // Un-assignment restores the simulator from its trail; the flip
+      // propagates v -> !v directly.
       while (!stack.empty() && stack.back().flipped) {
-        sim_.set_source(stack.back().pi, Val::X);
+        sim_.undo_to(stack.back().mark);
         stack.pop_back();
       }
       if (stack.empty()) {

@@ -6,6 +6,8 @@
 // event-driven forward simulation (PairSim), so the search is the classic
 // PODEM decision tree over primary-input assignments with backtrace guided by
 // SCOAP controllability and a static distance-to-observation measure.
+// Backtracking un-assigns a decision by rolling PairSim back to the trail
+// mark the decision recorded, which restores the exact pre-decision state.
 //
 // Backtrace consults a dead-walk table built once per model: a walk that
 // reaches an entry the table marks dead returns false at once instead of

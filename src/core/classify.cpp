@@ -11,28 +11,14 @@ constexpr int kEvalCap = 8;  // oscillation guard on sequential loops
 }
 
 ChainFaultClassifier::ChainFaultClassifier(const ScanModeModel& model)
-    : model_(model), lv_(model.levelizer()) {
+    : model_(model),
+      lv_(model.levelizer()),
+      seq_(lv_.netlist(), model.design()) {
   const Netlist& nl = lv_.netlist();
   cur_ = model.values();
   queued_.assign(nl.size(), 0);
   eval_count_.assign(nl.size(), 0);
   in_dirty_.assign(nl.size(), 0);
-  dff_index_.assign(nl.size(), -1);
-  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    dff_index_[nl.dffs()[i]] = static_cast<int>(i);
-  }
-  ff_pos_.assign(nl.dffs().size(), {-1, -1});
-  const ScanDesign& d = model.design();
-  for (std::size_t c = 0; c < d.chains.size(); ++c) {
-    const auto& ffs = d.chains[c].ffs;
-    for (std::size_t k = 0; k < ffs.size(); ++k) {
-      const int idx = dff_index_[ffs[k]];
-      if (idx >= 0) {
-        ff_pos_[static_cast<std::size_t>(idx)] = {static_cast<int>(c),
-                                                  static_cast<int>(k)};
-      }
-    }
-  }
 }
 
 void ChainFaultClassifier::touch(NodeId id, Val v) {
@@ -75,8 +61,7 @@ ChainFaultInfo ChainFaultClassifier::classify(const Fault& f) {
     }
     // A stuck D pin of a chain flip-flop is itself a stuck capture.
     if (nl.type(f.node) == GateType::Dff) {
-      const int idx = dff_index_[f.node];
-      const auto [c, k] = ff_pos_[static_cast<std::size_t>(idx)];
+      const auto [c, k] = seq_.chain_position(f.node);
       if (c >= 0) events.push_back({{c, k}, false});
     }
     // A stuck pin of a chain-path gate can reroute or re-polarise the shift

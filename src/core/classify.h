@@ -17,6 +17,7 @@
 #include "core/parallel.h"
 #include "fault/fault.h"
 #include "scan/scan_mode_model.h"
+#include "scan/scan_sequences.h"
 
 namespace fsct {
 
@@ -74,8 +75,7 @@ class ChainFaultClassifier {
   std::vector<char> queued_;
   std::vector<int> eval_count_;    // oscillation guard across DFF loops
   std::vector<NodeId> worklist_;
-  std::vector<std::pair<int, int>> ff_pos_;  // dff order -> (chain, pos)
-  std::vector<int> dff_index_;               // node id -> dff order, -1
+  ScanSequenceBuilder seq_;        // chain_position() of a flip-flop
 };
 
 }  // namespace fsct

@@ -7,9 +7,11 @@ namespace fsct {
 
 Levelizer::Levelizer(const Netlist& nl) : nl_(nl) {
   const std::size_t n = nl.size();
-  fanouts_.assign(n, {});
   levels_.assign(n, 0);
 
+  // Fanout lists as one flat array (two passes over the fanins: count, then
+  // fill in sink order).
+  fanout_off_.assign(n + 1, 0);
   std::vector<int> pending(n, 0);  // unprocessed combinational fanins
   for (NodeId id = 0; id < n; ++id) {
     for (NodeId f : nl.fanins(id)) {
@@ -17,10 +19,18 @@ Levelizer::Levelizer(const Netlist& nl) : nl_(nl) {
         throw std::runtime_error("levelize: unconnected pin at " +
                                  nl.node_name(id));
       }
-      fanouts_[f].push_back(id);
+      ++fanout_off_[f + 1];
       if (is_combinational(nl.type(id)) && is_combinational(nl.type(f))) {
         ++pending[id];
       }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) fanout_off_[i + 1] += fanout_off_[i];
+  fanout_.resize(fanout_off_[n]);
+  {
+    std::vector<std::uint32_t> fill(fanout_off_.begin(), fanout_off_.end() - 1);
+    for (NodeId id = 0; id < n; ++id) {
+      for (NodeId f : nl.fanins(id)) fanout_[fill[f]++] = id;
     }
   }
 
@@ -42,7 +52,7 @@ Levelizer::Levelizer(const Netlist& nl) : nl_(nl) {
     }
     levels_[id] = lvl;
     max_level_ = std::max(max_level_, lvl);
-    for (NodeId s : fanouts_[id]) {
+    for (NodeId s : fanouts(id)) {
       if (is_combinational(nl.type(s)) && --pending[s] == 0) {
         ready.push_back(s);
       }
@@ -69,7 +79,7 @@ std::vector<NodeId> Levelizer::forward_cone(NodeId from) const {
     if (nl_.type(id) == GateType::Dff && id != from) {
       continue;  // stop at DFF D-pin; Q side is a new time frame
     }
-    for (NodeId s : fanouts_[id]) {
+    for (NodeId s : fanouts(id)) {
       if (!seen[s]) {
         seen[s] = 1;
         stack.push_back(s);

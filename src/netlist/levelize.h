@@ -4,8 +4,10 @@
 // mutation; rebuild after TPI / scan insertion.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -30,9 +32,12 @@ class Levelizer {
   /// if the netlist has combinational cycles or unconnected pins.
   explicit Levelizer(const Netlist& nl);
 
-  /// Fanout node ids of `id` (sinks whose fanin list contains `id`).  A sink
-  /// appears once per pin it connects on.
-  const std::vector<NodeId>& fanouts(NodeId id) const { return fanouts_[id]; }
+  /// Fanout node ids of `id` (sinks whose fanin list contains `id`), in
+  /// ascending sink id.  A sink appears once per pin it connects on.
+  std::span<const NodeId> fanouts(NodeId id) const {
+    return {fanout_.data() + fanout_off_[id],
+            fanout_.data() + fanout_off_[id + 1]};
+  }
 
   /// Logic level: 0 for PIs, constants and DFF outputs; otherwise
   /// 1 + max(level of fanins).
@@ -60,7 +65,9 @@ class Levelizer {
 
  private:
   const Netlist& nl_;
-  std::vector<std::vector<NodeId>> fanouts_;
+  // fanouts(id) is fanout_[fanout_off_[id], fanout_off_[id + 1]).
+  std::vector<std::uint32_t> fanout_off_;  // size() + 1 entries
+  std::vector<NodeId> fanout_;
   std::vector<int> levels_;
   std::vector<NodeId> topo_;
   int max_level_ = 0;

@@ -65,22 +65,26 @@ NodeId Netlist::add_node(Node n) {
   if (n.name.empty()) {
     throw std::invalid_argument("node name must not be empty");
   }
-  if (by_name_.contains(n.name)) {
+  const NodeId id = static_cast<NodeId>(nodes_.size());
+  // One hash probe: claim the name first, and give it back if a later check
+  // refuses the node.
+  const auto [slot, inserted] = by_name_.try_emplace(n.name, id);
+  if (!inserted) {
     throw std::invalid_argument("duplicate node name: " + n.name);
   }
   if (std::string err = arity_error(n.type, n.fanins.size()); !err.empty()) {
+    by_name_.erase(slot);
     throw std::invalid_argument("bad fanin count for " +
                                 std::string(gate_type_name(n.type)) + " " +
                                 n.name + ": " + err);
   }
-  const NodeId id = static_cast<NodeId>(nodes_.size());
   for (NodeId f : n.fanins) {
     if (f != kNullNode && f >= id) {
       // Forward references are only legal via add_dff_floating + set_fanin.
+      by_name_.erase(slot);
       throw std::invalid_argument("fanin id out of range in " + n.name);
     }
   }
-  by_name_.emplace(n.name, id);
   nodes_.push_back(std::move(n));
   return id;
 }

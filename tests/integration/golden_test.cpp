@@ -179,6 +179,32 @@ TEST(Golden, S1423PodemSearch) {
   }
 }
 
+// The same pin on s4863, whose step-3 search is about 2.6 times longer and
+// backtracks almost as often as it decides, so every un-assignment restore
+// is on the path to these counts.
+TEST(Golden, S4863PodemSearch) {
+  const SuiteEntry e = suite_entry("s4863");
+  Netlist nl = build_suite_circuit(e);
+  TpiOptions topt;
+  topt.num_chains = e.chains;
+  const ScanDesign d = run_tpi(nl, topt);
+  const Levelizer lv(nl);
+  const ScanModeModel model(lv, d);
+  const auto faults = collapsed_fault_list(nl);
+  for (int jobs : {1, 4}) {
+    PipelineOptions opt;
+    opt.verify_easy = true;
+    opt.jobs = jobs;
+    ObsRegistry obs;
+    opt.obs = &obs;
+    run_fsct_pipeline(model, faults, opt);
+    EXPECT_EQ(obs.total(Ctr::PodemCalls), 122u) << "jobs=" << jobs;
+    EXPECT_EQ(obs.total(Ctr::PodemDecisions), 108515u) << "jobs=" << jobs;
+    EXPECT_EQ(obs.total(Ctr::PodemBacktracks), 108080u) << "jobs=" << jobs;
+    EXPECT_EQ(obs.total(Ctr::PodemAborts), 22u) << "jobs=" << jobs;
+  }
+}
+
 TEST(Golden, Figure2Model) {
   ExampleDesign e = paper_figure2();
   const NetlistStats s = compute_stats(e.nl);

@@ -43,6 +43,26 @@ TEST(Netlist, GateArityChecked) {
   EXPECT_NO_THROW(nl.add_gate(GateType::And, {a}, "one_input_and"));
 }
 
+// A refused node leaves no trace: its name stays free, and the checks keep
+// their order (a duplicate name is reported before a bad fanin count).
+TEST(Netlist, RefusedNodeReleasesItsName) {
+  Netlist nl("t");
+  const NodeId a = nl.add_input("a");
+  EXPECT_THROW(nl.add_gate(GateType::Not, {a, a}, "n"), std::invalid_argument);
+  EXPECT_THROW(nl.add_gate(GateType::Buf, {a + 5}, "n"), std::invalid_argument);
+  EXPECT_EQ(nl.find("n"), kNullNode);
+  EXPECT_EQ(nl.size(), 1u);
+  const NodeId n = nl.add_gate(GateType::Not, {a}, "n");
+  EXPECT_EQ(nl.find("n"), n);
+  try {
+    nl.add_gate(GateType::Not, {a, a}, "a");
+    FAIL() << "expected a duplicate-name error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "duplicate node name: a");
+  }
+  EXPECT_EQ(nl.find("a"), a);
+}
+
 TEST(Netlist, AddGateRejectsSequentialTypes) {
   Netlist nl("t");
   const NodeId a = nl.add_input("a");

@@ -2,7 +2,8 @@
 # Build + test, then rebuild with ThreadSanitizer and re-run the tests that
 # drive the fault-parallel execution layer — the race detector must be clean
 # on the new parallel paths — with UBSan over the wide SIMD kernels, and
-# with ASan over checkpoint parsing and resume (hostile files are refused).
+# with ASan over checkpoint parsing and resume (hostile files are refused)
+# and over PairSim's undo trail under PODEM.
 #
 #   tools/check.sh              # full check (plain build + full ctest +
 #                               # width sweep + TSan + UBSan + ASan)
@@ -502,10 +503,13 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
     --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.|CombFaultSim\.|PackedCombSim\.'
   echo "check.sh: UBSan clean over the SoA/wide kernels"
 
+  # ASan over checkpoint parsing and resume, and over PairSim's undo trail
+  # (trail marks and the level bitmap are index arithmetic on hot paths).
   cmake -B build-asan -S . -DFSCT_SANITIZE=address "$@"
-  cmake --build build-asan -j --target checkpoint_test fsct
+  cmake --build build-asan -j --target checkpoint_test fsct pair_sim_test \
+    podem_test golden_test
   ASAN_OPTIONS="halt_on_error=1" ctest --test-dir build-asan -j "$(nproc)" \
-    --output-on-failure -R 'Shard\.|fsct_cli_edge'
-  echo "check.sh: ASan clean over checkpoint parse/resume"
+    --output-on-failure -R 'Shard\.|fsct_cli_edge|PairSim\.|Podem\.|Golden\.S4863'
+  echo "check.sh: ASan clean over checkpoint parse/resume and PairSim/PODEM"
 fi
 echo "check.sh: OK (plain tests $( [[ $TSAN_ONLY == 1 ]] && echo skipped || echo passed ), TSan clean)"
