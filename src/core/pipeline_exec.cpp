@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "core/obs.h"
@@ -177,37 +178,71 @@ std::vector<char> LocalExec::seq_detect(const TestSequence& seq,
   return det;
 }
 
+std::size_t s2_wave_vectors(std::size_t open_faults) {
+  return std::max<std::size_t>(1, kS2WavePairs / std::max<std::size_t>(
+                                                     1, open_faults));
+}
+
+// Vector 0 is a wave of its own: it takes almost every detection.  Each
+// later wave takes the next s2_wave_vectors(|open|) vectors against the
+// faults still open.  A one-vector wave runs fault-parallel; a longer one
+// runs its (fault, vector) pairs in one run_pairs call on the pool.  A
+// fault's verdict is the smallest vector index among its detecting pairs,
+// which is exactly the first vector that detects it (DESIGN.md §5o).
 std::vector<int> LocalExec::s2_first_vec(std::span<const ScanVector> vectors,
                                          std::span<const std::size_t> ids) {
   std::vector<int> first(ids.size(), -1);
   if (ids.empty() || vectors.empty()) return first;
   const std::size_t observe_cycles =
       opt_.observe_cycles ? opt_.observe_cycles : maxlen_ + 2;
-  ScanSequenceBuilder sb(model_.levelizer().netlist(), model_.design());
-  SeqFaultSim ssim(model_.levelizer(), observe_, opt_.simd_width);
-  std::vector<char> det(ids.size(), 0);
-  for (std::size_t vi = 0; vi < vectors.size(); ++vi) {
-    std::vector<Fault> open;
-    std::vector<std::size_t> open_pos;
-    std::vector<std::size_t> open_ids;
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      if (!det[k]) {
-        open.push_back(faults_[ids[k]]);
-        open_pos.push_back(k);
-        open_ids.push_back(ids[k]);
+  const ScanSequenceBuilder sb(model_.levelizer().netlist(), model_.design());
+  const SeqFaultSim ssim(model_.levelizer(), observe_, opt_.simd_width);
+  // Built once per phase, as each wave first needs them; the pairs point in.
+  std::vector<TestSequence> seqs;
+  seqs.reserve(vectors.size());
+  std::vector<std::size_t> open(ids.size());  // positions in `ids`
+  std::iota(open.begin(), open.end(), 0);
+  std::vector<Fault> wave_faults;
+  std::vector<FaultSeqPair> pairs;
+  std::vector<std::size_t> wave_ids;
+  for (std::size_t v0 = 0, v1 = 0; v0 < vectors.size() && !open.empty();
+       v0 = v1) {
+    v1 = v0 == 0 ? 1
+                 : std::min(vectors.size(), v0 + s2_wave_vectors(open.size()));
+    for (std::size_t vi = seqs.size(); vi < v1; ++vi) {
+      seqs.push_back(sb.apply_comb_vector(vectors[vi].ff_state,
+                                          vectors[vi].pi_vals,
+                                          observe_cycles));
+    }
+    // Detect cycle per pair, vector-major: pair p is vector v0 + p / |open|
+    // against fault open[p % |open|].
+    std::vector<int> det;
+    wave_ids.clear();
+    if (v1 - v0 == 1) {
+      wave_faults.clear();
+      for (std::size_t k : open) {
+        wave_faults.push_back(faults_[ids[k]]);
+        wave_ids.push_back(ids[k]);
+      }
+      det = ssim.run(seqs[v0], wave_faults, Val::X, &pool_, obs_, wave_ids)
+                .detect_cycle;
+    } else {
+      pairs.clear();
+      for (std::size_t vi = v0; vi < v1; ++vi) {
+        for (std::size_t k : open) {
+          pairs.push_back({faults_[ids[k]], &seqs[vi]});
+          wave_ids.push_back(ids[k]);
+        }
+      }
+      det = ssim.run_pairs(pairs, Val::X, &pool_, obs_, wave_ids);
+    }
+    for (std::size_t p = 0; p < det.size(); ++p) {
+      const std::size_t k = open[p % open.size()];
+      if (det[p] >= 0 && first[k] < 0) {
+        first[k] = static_cast<int>(v0 + p / open.size());
       }
     }
-    if (open.empty()) break;  // every later vector sees an empty open set too
-    const TestSequence seq = sb.apply_comb_vector(
-        vectors[vi].ff_state, vectors[vi].pi_vals, observe_cycles);
-    const SeqFaultSimResult r =
-        ssim.run(seq, open, Val::X, &pool_, obs_, open_ids);
-    for (std::size_t m = 0; m < open.size(); ++m) {
-      if (r.detect_cycle[m] >= 0) {
-        det[open_pos[m]] = 1;
-        first[open_pos[m]] = static_cast<int>(vi);
-      }
-    }
+    std::erase_if(open, [&](std::size_t k) { return first[k] >= 0; });
   }
   return first;
 }
@@ -234,8 +269,8 @@ void LocalExec::run_finals(std::span<const std::size_t> final_ids,
 }
 
 // One group model: targets the group's faults in order, verifies each
-// in-model detection end to end, and credits the group's still-open tail
-// with whatever a verified sequence also detects.
+// in-model detection end to end with one serial replay, and credits the
+// group's still-open tail with whatever a verified sequence also detects.
 GroupOutcome LocalExec::run_group(const AtpgGroup& g, ObsRegistry* obs) const {
   GroupOutcome out;
   const ReducedCircuitBuilder builder(
@@ -298,7 +333,8 @@ GroupOutcome LocalExec::run_group(const AtpgGroup& g, ObsRegistry* obs) const {
 }
 
 // One final individual model over fault j's maximal window, with the bigger
-// budget; a detection is verified end to end as a one-pair replay.
+// budget; a detection is verified end to end with one serial replay, the
+// engine a group item verifies with.
 FinalOutcome LocalExec::run_final(std::size_t j,
                                   const std::vector<ChainWindow>& window,
                                   ObsRegistry* obs) const {
@@ -323,9 +359,9 @@ FinalOutcome LocalExec::run_final(std::size_t j,
     TestSequence seq =
         builder.realize(builder.extract_test(rm, r), maxlen_ + 2);
     const SeqFaultSim sim(model_.levelizer(), observe_, opt_.simd_width);
-    const FaultSeqPair pair[1] = {{f, &seq}};
+    const Fault one[1] = {f};
     const std::size_t aid[1] = {j};
-    if (sim.run_pairs(pair, Val::X, nullptr, obs, aid)[0] < 0) {
+    if (sim.run_serial(seq, one, Val::X, obs, aid).detect_cycle[0] < 0) {
       out.verdict = FinalVerdict::Unverified;
     } else {
       out.verdict = FinalVerdict::Detected;

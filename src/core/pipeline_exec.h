@@ -142,11 +142,12 @@ class PipelineExec {
   virtual std::vector<char> seq_detect(const TestSequence& seq,
                                        std::span<const std::size_t> ids) = 0;
 
-  /// Step-2 sequential verification: walks `vectors` in order against the
-  /// (shrinking) open set of faults[ids]; returns, per id, the index of the
-  /// first vector whose scan sequence detects it, or -1.  Equivalent to the
-  /// historical per-vector loop because detections are per-fault independent
-  /// and only ever remove faults from the open set.
+  /// Step-2 sequential verification of faults[ids] against the scan
+  /// sequences of `vectors`, each simulated from all-X; returns, per id, the
+  /// smallest index of a vector whose sequence detects it, or -1.  Each
+  /// (fault, sequence) detection is independent of every other, so any
+  /// schedule that finds that minimum returns what a per-vector loop over a
+  /// shrinking open set returns.
   virtual std::vector<int> s2_first_vec(std::span<const ScanVector> vectors,
                                         std::span<const std::size_t> ids) = 0;
 
@@ -167,10 +168,20 @@ class PipelineExec {
                           const ItemDone& on_done) = 0;
 };
 
+/// Step-2 verification after vector 0 runs in waves of about this many
+/// (open fault, vector) pairs.  A fixed constant, so the wave plan, and with
+/// it every counter, is the same at any job count and lane width.
+inline constexpr std::size_t kS2WavePairs = 1024;
+
+/// Vectors in the next step-2 wave when `open_faults` faults are still open:
+/// max(1, kS2WavePairs / open_faults).
+std::size_t s2_wave_vectors(std::size_t open_faults);
+
 /// The in-process executor: every call runs on `pool`.  Each step-3 group
 /// or final item is one pool task that verifies its own detections and, in
 /// an observed run, charges a private registry the skeleton thread folds in
-/// before it reports the item (DESIGN.md §5l).
+/// before it reports the item (DESIGN.md §5l).  Step-2 verification runs
+/// vector 0 fault-parallel, then the later vectors in waves (DESIGN.md §5o).
 class LocalExec : public PipelineExec {
  public:
   LocalExec(const ScanModeModel& model, std::span<const Fault> faults,

@@ -1,7 +1,9 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace fsct {
@@ -44,6 +46,13 @@ struct FaultKeyHash {
 };
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+// The dominance tables store 32-bit fault indices.
+void check_index_range(std::size_t num_faults) {
+  if (num_faults > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("dominance tables: 2^32 or more faults");
+  }
+}
 
 using FaultIndex = std::unordered_map<Fault, std::size_t, FaultKeyHash>;
 
@@ -201,9 +210,10 @@ std::vector<Fault> collapsed_fault_list(const Netlist& nl) {
 
 DominanceInfo collapse_dominant(const Netlist& nl,
                                 std::span<const Fault> collapsed) {
+  check_index_range(collapsed.size());
   DominanceInfo di;
   di.rep.resize(collapsed.size());
-  std::iota(di.rep.begin(), di.rep.end(), 0);
+  std::iota(di.rep.begin(), di.rep.end(), std::uint32_t{0});
 
   const std::vector<Fault> universe = all_faults(nl);
   const FaultIndex uindex = build_fault_index(universe);
@@ -265,19 +275,20 @@ DominanceInfo collapse_dominant(const Netlist& nl,
     state[i] = 1;
     const std::size_t r = dom[i] == npos ? i : self(self, dom[i]);
     state[i] = 2;
-    di.rep[i] = r;
+    di.rep[i] = static_cast<std::uint32_t>(r);
     return r;
   };
   for (std::size_t i = 0; i < collapsed.size(); ++i) resolve(resolve, i);
 
   for (std::size_t i = 0; i < collapsed.size(); ++i) {
-    if (di.rep[i] == i) di.targets.push_back(i);
+    if (di.rep[i] == i) di.targets.push_back(static_cast<std::uint32_t>(i));
   }
   return di;
 }
 
 FaultAdjacency dominated_sets(const Netlist& nl,
                               std::span<const Fault> collapsed) {
+  check_index_range(collapsed.size());
   std::vector<std::vector<std::size_t>> out(collapsed.size());
 
   const std::vector<Fault> universe = all_faults(nl);

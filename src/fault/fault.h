@@ -71,9 +71,12 @@ std::vector<Fault> collapsed_fault_list(const Netlist& nl);
 /// implies detection of fault i; rep[i] == i for kept targets.  Expanding a
 /// target's outcome through this table therefore reproduces the uncollapsed
 /// verdict without re-targeting the dropped fault.
+///
+/// Indices are 32-bit: a served compiled model keeps both tables for its
+/// lifetime, and collapse_dominant refuses lists of 2^32 or more faults.
 struct DominanceInfo {
-  std::vector<std::size_t> targets;  ///< kept indices into the input list, ascending
-  std::vector<std::size_t> rep;      ///< per input fault: its representative's index
+  std::vector<std::uint32_t> targets;  ///< kept indices into the input list, ascending
+  std::vector<std::uint32_t> rep;      ///< per input fault: its representative's index
   std::size_t dropped() const { return rep.size() - targets.size(); }
 };
 
@@ -105,7 +108,7 @@ DominanceInfo collapse_dominant(const Netlist& nl,
 ///
 /// Stored compressed (one offset per fault plus the listed indices): a
 /// served compiled model keeps the table for its lifetime, and most faults
-/// list nothing.
+/// list nothing.  dominated_sets refuses lists of 2^32 or more faults.
 struct FaultAdjacency {
   /// List i is ids[offsets[i] .. offsets[i + 1]); one entry per fault + 1.
   std::vector<std::uint32_t> offsets;

@@ -206,8 +206,9 @@ SeqFaultSimResult SeqFaultSim::run(const TestSequence& seq,
 
 // One pair pass: pair q of the pass rides word q/32, lanes 2*(q%32) (good)
 // and 2*(q%32)+1 (faulty).  Each pair follows its own sequence, so PI lanes
-// are loaded per pair rather than broadcast; a pair's lanes go X (and its
-// undet bit is retired) once its sequence is exhausted.
+// are loaded per sequence through the lane mask of the pairs that follow it
+// (step-2 waves put many pairs on one sequence); a pair's lanes go X (and
+// its undet bit is retired) once its sequence is exhausted.
 template <int NW>
 void SeqFaultSim::run_pairs_width(std::span<const FaultSeqPair> pairs,
                                   Val initial_state, ThreadPool* pool,
@@ -218,20 +219,35 @@ void SeqFaultSim::run_pairs_width(std::span<const FaultSeqPair> pairs,
   constexpr std::size_t kPerPass = kPerWord * NW;
   constexpr std::uint64_t kEven = 0x5555555555555555ull;
 
+  // The sequences of one pass, each with the lanes of the pairs that
+  // follow it (both lanes of each pair).
+  struct SeqLanes {
+    const TestSequence* seq;
+    std::uint64_t lanes[NW];
+  };
+
   auto pair_pass = [&](std::size_t base) {
     const ObsSpan span(obs, "seqsim.pass");
     const std::size_t chunk = std::min(kPerPass, pairs.size() - base);
     std::size_t max_len = 0;
     std::vector<WideInjection<NW>> inj;
     inj.reserve(chunk);
+    std::vector<SeqLanes> seqs;
     std::uint64_t undet[NW] = {};
     for (std::size_t q = 0; q < chunk; ++q) {
+      const TestSequence* s = pairs[base + q].seq;
       inj.push_back(to_wide_injection<NW>(
           pairs[base + q].fault,
           static_cast<unsigned>(((q / kPerWord) << 6) + 2 * (q % kPerWord) +
                                 1)));
       undet[q / kPerWord] |= 1ull << (2 * (q % kPerWord));
-      max_len = std::max(max_len, pairs[base + q].seq->size());
+      max_len = std::max(max_len, s->size());
+      // Newest first: pairs on one sequence tend to be adjacent.
+      auto it = std::find_if(seqs.rbegin(), seqs.rend(),
+                             [&](const SeqLanes& g) { return g.seq == s; });
+      SeqLanes& g =
+          it != seqs.rend() ? *it : seqs.emplace_back(SeqLanes{s, {}});
+      g.lanes[q / kPerWord] |= 3ull << (2 * (q % kPerWord));
     }
 
     std::vector<WideVal<NW>> pi(soa_->inputs().size());
@@ -240,22 +256,20 @@ void SeqFaultSim::run_pairs_width(std::span<const FaultSeqPair> pairs,
     std::uint64_t cycles = 0, dropped = 0;
     for (std::size_t t = 0; t < max_len; ++t) {
       // Retire pairs whose sequence ended; stop when none are live.
-      for (std::size_t q = 0; q < chunk; ++q) {
-        if (pairs[base + q].seq->size() == t) {
-          undet[q / kPerWord] &= ~(1ull << (2 * (q % kPerWord)));
-        }
+      for (const SeqLanes& g : seqs) {
+        if (g.seq->size() != t) continue;
+        for (int w = 0; w < NW; ++w) undet[w] &= ~g.lanes[w];
       }
       if (all_zero<NW>(undet)) break;
       ++cycles;
       for (auto& v : pi) v = WideVal<NW>::broadcast(Val::X);
-      for (std::size_t q = 0; q < chunk; ++q) {
-        const TestSequence& s = *pairs[base + q].seq;
-        if (t >= s.size()) continue;
-        const unsigned lane = static_cast<unsigned>(
-            ((q / kPerWord) << 6) + 2 * (q % kPerWord));
+      for (const SeqLanes& g : seqs) {
+        if (t >= g.seq->size()) continue;
+        const std::vector<Val>& row = (*g.seq)[t];
         for (std::size_t i = 0; i < pi.size(); ++i) {
-          pi[i].set(lane, s[t][i]);
-          pi[i].set(lane + 1, s[t][i]);
+          if (row[i] == Val::X) continue;
+          std::uint64_t* plane = row[i] == Val::Zero ? pi[i].zero : pi[i].one;
+          for (int w = 0; w < NW; ++w) plane[w] |= g.lanes[w];
         }
       }
       const WideSim<NW>& v = sim.step(pi, inj);

@@ -13,8 +13,8 @@
 //                  touch it),
 //  * run_pairs   — fault x pattern parallel: independent (fault, sequence)
 //                  pairs packed two lanes each (even lane = that pair's good
-//                  machine, odd = faulty), 32 * W/64 pairs per pass; used to
-//                  retire many step-3 verification replays per sweep.
+//                  machine, odd = faulty), 32 * W/64 pairs per pass; step-2
+//                  verification runs its vector waves through it.
 //
 // Counter contract (schedule- and jobs-independent by construction):
 //  * SeqSimPackedPasses increments once per packed pass.  The pass partition

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "bench_circuits/generator.h"
 #include "bench_circuits/paper_examples.h"
+#include "bench_circuits/suite.h"
+#include "core/obs.h"
+#include "core/parallel.h"
+#include "core/pipeline_exec.h"
 #include "core/report.h"
 #include "scan/tpi.h"
 
@@ -173,6 +180,153 @@ TEST(Pipeline, MultiChainCircuit) {
   const PipelineResult r = run_fsct_pipeline(b.model, b.faults);
   EXPECT_GT(r.affecting(), 0u);
   EXPECT_LE(r.final_undetected() * 10, r.affecting());
+}
+
+// ---- step-2 verification waves ---------------------------------------------
+
+// The per-vector loop step 2 verified with before it ran in waves: each
+// vector's sequence against the faults no earlier vector detected.
+std::vector<int> per_vector_first(const ScanModeModel& model,
+                                  std::span<const Fault> faults,
+                                  std::span<const ScanVector> vectors,
+                                  std::span<const std::size_t> ids) {
+  const ScanSequenceBuilder sb(model.levelizer().netlist(), model.design());
+  const SeqFaultSim ssim(model.levelizer(), pipeline_observe_list(model), 64);
+  std::vector<int> first(ids.size(), -1);
+  for (std::size_t vi = 0; vi < vectors.size(); ++vi) {
+    std::vector<Fault> open;
+    std::vector<std::size_t> pos;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (first[k] < 0) {
+        open.push_back(faults[ids[k]]);
+        pos.push_back(k);
+      }
+    }
+    if (open.empty()) break;
+    const TestSequence seq =
+        sb.apply_comb_vector(vectors[vi].ff_state, vectors[vi].pi_vals,
+                             model.max_chain_length() + 2);
+    const SeqFaultSimResult r = ssim.run(seq, open);
+    for (std::size_t m = 0; m < open.size(); ++m) {
+      if (r.detect_cycle[m] >= 0) first[pos[m]] = static_cast<int>(vi);
+    }
+  }
+  return first;
+}
+
+// Waves after vector 0 that s2_first_vec plans for the verdicts `first`.
+std::size_t waves_after_first(const std::vector<int>& first,
+                              std::size_t num_vectors) {
+  std::size_t waves = 0;
+  for (std::size_t v0 = 1; v0 < num_vectors;) {
+    const std::size_t open = static_cast<std::size_t>(
+        std::count_if(first.begin(), first.end(), [&](int f) {
+          return f < 0 || f >= static_cast<int>(v0);
+        }));
+    if (open == 0) break;
+    ++waves;
+    v0 += s2_wave_vectors(open);
+  }
+  return waves;
+}
+
+// Checks LocalExec::s2_first_vec against the per-vector loop at jobs 1 and 4
+// and every lane width, and that its counters do not depend on the job
+// count.  Returns the number of waves after vector 0.
+std::size_t check_waves(const Built& b, std::span<const ScanVector> vectors,
+                        std::span<const std::size_t> ids,
+                        const std::string& what) {
+  const std::vector<int> want =
+      per_vector_first(b.model, b.faults, vectors, ids);
+  for (int width : {64, 256, 512}) {
+    std::string counters;
+    for (int jobs : {1, 4}) {
+      ObsRegistry obs;
+      PipelineOptions opt;
+      opt.jobs = jobs;
+      opt.simd_width = width;
+      opt.obs = &obs;
+      ThreadPool pool(jobs);
+      LocalExec exec(b.model, b.faults, opt, pool);
+      EXPECT_EQ(exec.s2_first_vec(vectors, ids), want)
+          << what << " width " << width << " jobs " << jobs;
+      if (jobs == 1) {
+        counters = obs.counters_json();
+      } else {
+        EXPECT_EQ(obs.counters_json(), counters)
+            << what << " width " << width;
+      }
+    }
+  }
+  return waves_after_first(want, vectors.size());
+}
+
+// check_waves on the vectors and open faults the pipeline hands to step-2
+// verification.
+std::size_t check_pipeline_waves(const Built& b, const std::string& what) {
+  std::vector<ScanVector> vectors;
+  std::vector<std::size_t> ids;
+  PipelineHooks hooks;
+  hooks.safe_point = [&](const PipelineState& st) {
+    if (st.next != PipelinePhase::S2Verify) return true;
+    vectors = st.res.vectors;
+    ids = open_hard_faults(st.res);
+    return false;
+  };
+  PipelineOptions opt;
+  opt.verify_easy = true;
+  opt.hooks = &hooks;
+  EXPECT_THROW(run_fsct_pipeline(b.model, b.faults, opt), PipelineStopped);
+  return check_waves(b, vectors, ids, what);
+}
+
+TEST(LocalExec, WavePlanIsFixed) {
+  EXPECT_EQ(s2_wave_vectors(0), kS2WavePairs);
+  EXPECT_EQ(s2_wave_vectors(1), kS2WavePairs);
+  EXPECT_EQ(s2_wave_vectors(23), kS2WavePairs / 23);
+  EXPECT_EQ(s2_wave_vectors(kS2WavePairs), 1u);
+  EXPECT_EQ(s2_wave_vectors(kS2WavePairs + 1), 1u);
+}
+
+TEST(LocalExec, FirstVectorWavesMatchPerVectorLoop) {
+  // Random circuits, random vectors, every collapsed fault or every third:
+  // hundreds of faults stay open after vector 0, so the later vectors take
+  // many waves, one-vector waves among them.
+  for (std::uint64_t seed : {11ull, 12ull}) {
+    RandomCircuitSpec spec;
+    spec.num_gates = 300;
+    spec.num_ffs = 20;
+    spec.seed = seed;
+    const Built b(make_random_sequential(spec));
+    std::mt19937_64 rng(seed);
+    auto bit = [&] { return (rng() & 1) ? Val::One : Val::Zero; };
+    std::vector<ScanVector> vectors(40);
+    for (ScanVector& v : vectors) {
+      for (std::size_t i = 0; i < b.nl.inputs().size(); ++i) {
+        v.pi_vals.push_back(bit());
+      }
+      for (std::size_t i = 0; i < b.nl.dffs().size(); ++i) {
+        v.ff_state.push_back(bit());
+      }
+    }
+    const std::string what = "random seed " + std::to_string(seed);
+    for (std::size_t stride : {1, 3}) {
+      std::vector<std::size_t> ids;
+      for (std::size_t j = 0; j < b.faults.size(); j += stride) {
+        ids.push_back(j);
+      }
+      const std::string sub = what + " stride " + std::to_string(stride);
+      EXPECT_GT(check_waves(b, vectors, ids, sub), 2u) << sub;
+    }
+    check_pipeline_waves(b, what);
+  }
+  for (const char* name : {"s1423", "s9234"}) {
+    const SuiteEntry& e = suite_entry(name);
+    TpiOptions topt;
+    topt.num_chains = e.chains;
+    const Built b(build_suite_circuit(e), topt);
+    EXPECT_GE(check_pipeline_waves(b, name), 1u) << name;
+  }
 }
 
 }  // namespace

@@ -130,7 +130,7 @@ TEST(Dominance, TotalOverArbitraryLists) {
   const DominanceInfo di = collapse_dominant(nl, odd);
   ASSERT_EQ(di.rep.size(), 1u);
   EXPECT_EQ(di.rep[0], 0u);
-  EXPECT_EQ(di.targets, std::vector<std::size_t>{0});
+  EXPECT_EQ(di.targets, std::vector<std::uint32_t>{0});
 }
 
 TEST(Dominance, PaperExamplesCollapseFurtherThanEquivalence) {

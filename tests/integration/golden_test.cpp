@@ -205,6 +205,32 @@ TEST(Golden, S4863PodemSearch) {
   }
 }
 
+// Pins the sequential-simulation work of `fsct test s9234` at lane width
+// 256: step-2 verification runs vector 0 fault-parallel and the later
+// vectors as (fault, vector) pair waves of a fixed size (DESIGN.md §5o), so
+// these counts move with the wave plan and are identical at any job count.
+TEST(Golden, S9234SeqSimCounters) {
+  const SuiteEntry e = suite_entry("s9234");
+  Netlist nl = build_suite_circuit(e);
+  TpiOptions topt;
+  topt.num_chains = e.chains;
+  const ScanDesign d = run_tpi(nl, topt);
+  const Levelizer lv(nl);
+  const ScanModeModel model(lv, d);
+  const auto faults = collapsed_fault_list(nl);
+  for (int jobs : {1, 4}) {
+    PipelineOptions opt;
+    opt.verify_easy = true;
+    opt.jobs = jobs;
+    opt.simd_width = 256;
+    ObsRegistry obs;
+    opt.obs = &obs;
+    run_fsct_pipeline(model, faults, opt);
+    EXPECT_EQ(obs.total(Ctr::SeqSimPackedPasses), 15u) << "jobs=" << jobs;
+    EXPECT_EQ(obs.total(Ctr::SeqSimCycles), 2074u) << "jobs=" << jobs;
+  }
+}
+
 TEST(Golden, Figure2Model) {
   ExampleDesign e = paper_figure2();
   const NetlistStats s = compute_stats(e.nl);

@@ -95,8 +95,9 @@ fi
 # Serve. covers the daemon's reader/worker threads sharing the model cache;
 # Shard. covers checkpointed runs, which like every observed run fold each
 # step-3 item's private registry into the run's on the skeleton thread while
-# other items still run).
-CONCURRENCY_TESTS='Parallel\.|Determinism\.|Obs\.|Selfcheck\.|Bench\.|Serve\.|Shard\.'
+# other items still run; LocalExec. covers step-2 verification, whose pair
+# waves the skeleton thread dispatches on the pool).
+CONCURRENCY_TESTS='Parallel\.|Determinism\.|Obs\.|Selfcheck\.|Bench\.|Serve\.|Shard\.|LocalExec\.'
 
 # One configuration on every path: ATPG is bounded by backtrack budgets only,
 # so nothing in src or tools may name the retired wall-clock budget.  The one
@@ -453,6 +454,19 @@ sys.exit(a != b)' "$OBS_TMP/s1494_plain.json" "$OBS_TMP/s1494_ckpt.json"
   echo "check.sh: checkpoint smoke OK (SIGTERM and SIGKILL -> resume" \
        "identical to an uninterrupted run; raw counters of a checkpointed" \
        "run equal a plain run's)"
+
+  # Counter determinism across job counts: step-2 verification plans its
+  # pair waves by a fixed constant, never by --jobs, so even the pass and
+  # cycle counters the normalization drops must agree at jobs 1 and 4.
+  for J in 1 4; do
+    ./build/tools/fsct test s9234 --jobs "$J" \
+      --metrics "$OBS_TMP/s9234_j$J.json" > /dev/null
+  done
+  python3 -c 'import json, sys
+a, b = (json.load(open(f))["counters"] for f in sys.argv[1:])
+sys.exit(a != b)' "$OBS_TMP/s9234_j1.json" "$OBS_TMP/s9234_j4.json"
+  echo "check.sh: counter determinism OK (s9234 raw counters identical at" \
+       "jobs 1 and 4)"
 
   # Checkpoint overhead gate: periodic checkpointing (at most one write per
   # second, a safe-point hook on the one step-3 item path) has to land
