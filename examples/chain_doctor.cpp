@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nchain test plan:\n");
   std::printf("  1. alternating flush: %zu cycles (covers %zu faults)\n",
-              2 * model.max_chain_length() + 8, r.easy);
+              model.flush_cycles(), r.easy);
   std::printf("  2. %zu converted combinational vectors (cover %zu faults)\n",
               r.s2_vectors, r.s2_detected);
   std::printf("  3. %zu sequential-ATPG circuit models (cover %zu faults)\n",

@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
               fault_name(nl, defect).c_str());
 
   // Tester stimulus: flush + random marker loads.
-  ScanSequenceBuilder sb(nl, design);
-  TestSequence seq = sb.alternating(2 * model.max_chain_length() + 8);
+  const ScanSequenceBuilder& sb = model.sequences();
+  TestSequence seq = sb.alternating(model.flush_cycles());
   for (int round = 0; round < 3; ++round) {
     std::vector<std::vector<Val>> marker(design.chains.size());
     for (std::size_t c = 0; c < design.chains.size(); ++c) {
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     }
     const TestSequence load = sb.load_state(marker);
     seq.insert(seq.end(), load.begin(), load.end());
-    for (std::size_t i = 0; i < model.max_chain_length() + 2; ++i) {
+    for (std::size_t i = 0; i < model.observe_cycles(); ++i) {
       seq.push_back(sb.base_vector(Val::Zero));
     }
   }

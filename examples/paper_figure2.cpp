@@ -59,8 +59,8 @@ int main() {
               r.backtracks);
 
   // 4. Verify the extracted test end-to-end on the real circuit.
-  const SeqTest t = builder.extract_test(rm, r);
-  const TestSequence seq = builder.realize(t, 8);
+  const SeqTest t = rm.um.base_inputs(r.assignment);
+  const TestSequence seq = builder.realize(t);
   const auto verdict = sim.run_serial(seq, faults);
   std::printf("end-to-end verification (%zu cycles): %s at cycle %d\n",
               seq.size(),

@@ -62,13 +62,13 @@ UnrolledModel unroll(const UnrollSpec& spec) {
   if (spec.keep != nullptr && spec.fold_values == nullptr) {
     throw std::invalid_argument("unroll: keep requires fold_values");
   }
-  const Netlist& b = *spec.base;
+  const Levelizer& lv = *spec.base;
+  const Netlist& b = lv.netlist();
   const std::size_t n_ff = b.dffs().size();
   if (spec.controllable_state.size() != n_ff ||
       spec.observable_ff.size() != n_ff) {
     throw std::invalid_argument("unroll: per-FF vector size mismatch");
   }
-  Levelizer lv(b);
 
   auto kept = [&](NodeId id) {
     return spec.keep == nullptr || (*spec.keep)[id] != 0;
@@ -166,10 +166,8 @@ UnrolledModel unroll(const UnrollSpec& spec) {
           b.node_name(ff) + "@c" + std::to_string(f));
     }
     // Observations.
-    if (spec.observe_pos) {
-      for (NodeId po : b.outputs()) {
-        if (kept(po) && fmap[po] != kNullNode) m.observe.push_back(fmap[po]);
-      }
+    for (NodeId po : b.outputs()) {
+      if (kept(po) && fmap[po] != kNullNode) m.observe.push_back(fmap[po]);
     }
     for (std::size_t i = 0; i < n_ff; ++i) {
       if (spec.observable_ff[i] && kept(b.dffs()[i])) {
@@ -195,6 +193,33 @@ UnrolledModel unroll(const UnrollSpec& spec) {
   }
 
   return m;
+}
+
+SeqTest UnrolledModel::base_inputs(
+    std::span<const std::pair<NodeId, Val>> assignment) const {
+  SeqTest t;
+  t.init_state.assign(init_state.size(), Val::X);
+  for (const std::vector<NodeId>& fpi : frame_pi) {
+    t.pi_frames.emplace_back(fpi.size(), Val::X);
+  }
+  // An assignment names Input nodes only, and each of those is exactly one
+  // state or frame-PI entry, so one slot per node inverts both maps.
+  std::vector<Val*> slot(nl.size(), nullptr);
+  auto bind = [&slot](NodeId u, Val* to) {
+    if (u != kNullNode) slot[u] = to;
+  };
+  for (std::size_t i = 0; i < init_state.size(); ++i) {
+    bind(init_state[i], &t.init_state[i]);
+  }
+  for (std::size_t f = 0; f < frame_pi.size(); ++f) {
+    for (std::size_t i = 0; i < frame_pi[f].size(); ++i) {
+      bind(frame_pi[f][i], &t.pi_frames[f][i]);
+    }
+  }
+  for (auto [node, v] : assignment) {
+    if (Val* s = slot[node]) *s = v;
+  }
+  return t;
 }
 
 std::vector<FaultSite> UnrolledModel::map_fault(const Fault& f) const {

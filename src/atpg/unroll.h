@@ -19,6 +19,7 @@
 
 #include "atpg/pair_sim.h"
 #include "fault/fault.h"
+#include "netlist/levelize.h"
 #include "netlist/netlist.h"
 #include "sim/value.h"
 
@@ -26,7 +27,8 @@ namespace fsct {
 
 /// What to unroll and how the environment constrains it.
 struct UnrollSpec {
-  const Netlist* base = nullptr;
+  /// The base circuit, levelized (its topological order is reused).
+  const Levelizer* base = nullptr;
   int frames = 1;
   /// PI -> constant held at that value in every frame (TPI scan-mode pins,
   /// including scan_mode = 1).
@@ -36,9 +38,8 @@ struct UnrollSpec {
   std::vector<char> controllable_state;
   /// Per base-FF index: is the value captured by this FF observed in every
   /// frame?  (True for the fault-free observable chain suffix / scan-out.)
+  /// The primary outputs of every frame are always observed.
   std::vector<char> observable_ff;
-  /// Observe the primary outputs of every frame.
-  bool observe_pos = true;
 
   // ---- optional value-aware pruning ---------------------------------------
   // When `keep` is set, only flagged base nodes are materialised per frame;
@@ -62,6 +63,12 @@ std::vector<char> compute_keep_mask(const Levelizer& lv,
 /// Forward closure of a fault site across flip-flop boundaries (node mask).
 std::vector<char> fault_forward_closure(const Levelizer& lv, NodeId site);
 
+/// A sequential test in base-circuit terms, extracted from a PODEM solution.
+struct SeqTest {
+  std::vector<Val> init_state;              ///< per base FF (X = don't care)
+  std::vector<std::vector<Val>> pi_frames;  ///< per frame, per base PI (X = dc)
+};
+
 /// The expanded model plus the bookkeeping needed to map a PODEM solution
 /// back into a clocked test.
 struct UnrolledModel {
@@ -79,6 +86,12 @@ struct UnrolledModel {
   std::vector<std::vector<NodeId>> frame_pi;
   /// init_state[ff_index] = frame-0 Q Input node.
   std::vector<NodeId> init_state;
+
+  /// Maps an assignment of this model's inputs (a PODEM solution) back to
+  /// the base circuit: the frame-0 state per FF and the PI values per frame,
+  /// X where the assignment leaves an input open.
+  SeqTest base_inputs(
+      std::span<const std::pair<NodeId, Val>> assignment) const;
 
   /// FaultSites in `nl` equivalent to base fault `f` in every frame.
   std::vector<FaultSite> map_fault(const Fault& f) const;

@@ -651,12 +651,14 @@ std::uint64_t checkpoint_binding_hash(const ScanModeModel& model,
      << opt.final_backtrack_limit
      // The retired wall-clock budgets' slot: budget-free checkpoints keep
      // their hash, and ones written under a budget are refused as foreign.
-     << ",0,0,0," << opt.random_patterns << ',' << opt.frame_slack << ','
-     << opt.frame_cap << ',' << opt.final_extra_frames << ','
-     << opt.observe_pos << ',' << opt.verify_easy
-     // The retired verify_seq switch's slot: step 3 always verifies.
-     << ",1," << opt.dominance << ',' << opt.alternating_cycles << ','
-     << opt.observe_cycles;
+     // The literal 4 and 1 that follow are the retired frame-slack and
+     // PO-observation switches at their only values.
+     << ",0,0,0," << opt.random_patterns << ",4," << opt.frame_cap << ','
+     << opt.final_extra_frames << ",1," << opt.verify_easy
+     // The retired verify_seq switch's slot: step 3 always verifies.  The
+     // closing 0,0 are the retired flush and observe cycle overrides (0 =
+     // the model's lengths, now the only ones).
+     << ",1," << opt.dominance << ",0,0";
   return fnv1a64(os.str());
 }
 

@@ -11,9 +11,7 @@ constexpr int kEvalCap = 8;  // oscillation guard on sequential loops
 }
 
 ChainFaultClassifier::ChainFaultClassifier(const ScanModeModel& model)
-    : model_(model),
-      lv_(model.levelizer()),
-      seq_(lv_.netlist(), model.design()) {
+    : model_(model), lv_(model.levelizer()) {
   const Netlist& nl = lv_.netlist();
   cur_ = model.values();
   queued_.assign(nl.size(), 0);
@@ -61,7 +59,7 @@ ChainFaultInfo ChainFaultClassifier::classify(const Fault& f) {
     }
     // A stuck D pin of a chain flip-flop is itself a stuck capture.
     if (nl.type(f.node) == GateType::Dff) {
-      const auto [c, k] = seq_.chain_position(f.node);
+      const auto [c, k] = model_.sequences().chain_position(f.node);
       if (c >= 0) events.push_back({{c, k}, false});
     }
     // A stuck pin of a chain-path gate can reroute or re-polarise the shift

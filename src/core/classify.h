@@ -17,7 +17,6 @@
 #include "core/parallel.h"
 #include "fault/fault.h"
 #include "scan/scan_mode_model.h"
-#include "scan/scan_sequences.h"
 
 namespace fsct {
 
@@ -75,7 +74,6 @@ class ChainFaultClassifier {
   std::vector<char> queued_;
   std::vector<int> eval_count_;    // oscillation guard across DFF loops
   std::vector<NodeId> worklist_;
-  ScanSequenceBuilder seq_;        // chain_position() of a flip-flop
 };
 
 }  // namespace fsct

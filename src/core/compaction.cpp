@@ -2,31 +2,16 @@
 
 #include <algorithm>
 
-#include "scan/scan_sequences.h"
-
 namespace fsct {
 
 std::vector<std::vector<std::size_t>> per_vector_detections(
     const ScanModeModel& model, std::span<const ScanVector> vectors,
-    std::span<const Fault> targets, std::size_t observe_cycles) {
-  const Levelizer& lv = model.levelizer();
-  const Netlist& nl = lv.netlist();
-  const std::size_t obs_cycles =
-      observe_cycles ? observe_cycles : model.max_chain_length() + 2;
-
-  std::vector<NodeId> observe = nl.outputs();
-  for (NodeId so : model.scan_outs()) {
-    if (std::find(observe.begin(), observe.end(), so) == observe.end()) {
-      observe.push_back(so);
-    }
-  }
-  SeqFaultSim sim(lv, observe);
-  ScanSequenceBuilder sb(nl, model.design());
-
+    std::span<const Fault> targets) {
+  const SeqFaultSim sim(model.levelizer(), model.observe());
   std::vector<std::vector<std::size_t>> detects(vectors.size());
   for (std::size_t v = 0; v < vectors.size(); ++v) {
-    const TestSequence seq = sb.apply_comb_vector(
-        vectors[v].ff_state, vectors[v].pi_vals, obs_cycles);
+    const TestSequence seq = model.sequences().apply_comb_vector(
+        vectors[v].ff_state, vectors[v].pi_vals, model.observe_cycles());
     const SeqFaultSimResult r = sim.run(seq, targets);
     for (std::size_t f = 0; f < targets.size(); ++f) {
       if (r.detect_cycle[f] >= 0) detects[v].push_back(f);
@@ -37,10 +22,8 @@ std::vector<std::vector<std::size_t>> per_vector_detections(
 
 CompactionResult compact_vectors(const ScanModeModel& model,
                                  std::span<const ScanVector> vectors,
-                                 std::span<const Fault> targets,
-                                 std::size_t observe_cycles) {
-  const auto detects =
-      per_vector_detections(model, vectors, targets, observe_cycles);
+                                 std::span<const Fault> targets) {
+  const auto detects = per_vector_detections(model, vectors, targets);
 
   CompactionResult res;
   std::vector<char> covered_by_full(targets.size(), 0);

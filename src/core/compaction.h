@@ -23,7 +23,7 @@ namespace fsct {
 /// from the all-X power-up state via scan-load + flush.
 std::vector<std::vector<std::size_t>> per_vector_detections(
     const ScanModeModel& model, std::span<const ScanVector> vectors,
-    std::span<const Fault> targets, std::size_t observe_cycles = 0);
+    std::span<const Fault> targets);
 
 struct CompactionResult {
   std::vector<std::size_t> kept;   ///< indices of retained vectors, in order
@@ -34,8 +34,7 @@ struct CompactionResult {
 /// Reverse-order greedy compaction (lossless: covered_kept == covered_full).
 CompactionResult compact_vectors(const ScanModeModel& model,
                                  std::span<const ScanVector> vectors,
-                                 std::span<const Fault> targets,
-                                 std::size_t observe_cycles = 0);
+                                 std::span<const Fault> targets);
 
 /// Truncation curve: entry k = #faults detected by the first k+1 vectors
 /// (recomputed from the detection sets, so usable on any vector ordering).

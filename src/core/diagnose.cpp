@@ -6,20 +6,6 @@
 
 namespace fsct {
 
-ChainDiagnoser::ChainDiagnoser(const ScanModeModel& model,
-                               std::vector<NodeId> observe)
-    : model_(model), observe_(std::move(observe)) {
-  if (observe_.empty()) {
-    const Netlist& nl = model.levelizer().netlist();
-    observe_ = nl.outputs();
-    for (NodeId so : model.scan_outs()) {
-      if (std::find(observe_.begin(), observe_.end(), so) == observe_.end()) {
-        observe_.push_back(so);
-      }
-    }
-  }
-}
-
 ObservedResponse ChainDiagnoser::make_response(const TestSequence& sequence,
                                                const Fault& fault) const {
   ObservedResponse r;
@@ -29,8 +15,8 @@ ObservedResponse ChainDiagnoser::make_response(const TestSequence& sequence,
   for (const auto& pi : sequence) {
     const auto& v = sim.step(pi, inj);
     std::vector<Val> row;
-    row.reserve(observe_.size());
-    for (NodeId o : observe_) row.push_back(v[o]);
+    row.reserve(observe().size());
+    for (NodeId o : observe()) row.push_back(v[o]);
     r.observed.push_back(std::move(row));
   }
   return r;
@@ -48,8 +34,8 @@ std::vector<DiagnosisCandidate> ChainDiagnoser::diagnose(
     SeqSim sim(lv);
     for (std::size_t t = 0; t < response.sequence.size(); ++t) {
       const auto& v = sim.step(response.sequence[t]);
-      good[t].reserve(observe_.size());
-      for (NodeId o : observe_) good[t].push_back(v[o]);
+      good[t].reserve(observe().size());
+      for (NodeId o : observe()) good[t].push_back(v[o]);
     }
   }
 
@@ -62,10 +48,10 @@ std::vector<DiagnosisCandidate> ChainDiagnoser::diagnose(
     const Injection inj[1] = {to_injection(f)};
     for (std::size_t t = 0; t < response.sequence.size(); ++t) {
       const auto& v = sim.step(response.sequence[t], inj);
-      for (std::size_t o = 0; o < observe_.size(); ++o) {
+      for (std::size_t o = 0; o < observe().size(); ++o) {
         const Val obs = response.observed[t][o];
         if (obs == Val::X) continue;  // masked / unrecorded
-        const Val pred = v[observe_[o]];
+        const Val pred = v[observe()[o]];
         const Val g = good[t][o];
         if (pred != Val::X && pred != obs) ++c.contradictions;
         if (g != Val::X && g != obs && pred == obs) ++c.explained;

@@ -39,8 +39,8 @@ struct DiagnosisCandidate {
 
 class ChainDiagnoser {
  public:
-  /// Observation points default to POs + scan-outs when `observe` is empty.
-  ChainDiagnoser(const ScanModeModel& model, std::vector<NodeId> observe = {});
+  /// Observes the model's observe() points.
+  explicit ChainDiagnoser(const ScanModeModel& model) : model_(model) {}
 
   /// Simulates `fault` over `sequence` and returns the response in
   /// ObservedResponse form — the test-bench side of a diagnosis round trip.
@@ -53,11 +53,10 @@ class ChainDiagnoser {
                                            std::span<const Fault> candidates,
                                            std::size_t top_k = 10) const;
 
-  const std::vector<NodeId>& observe() const { return observe_; }
+  const std::vector<NodeId>& observe() const { return model_.observe(); }
 
  private:
   const ScanModeModel& model_;
-  std::vector<NodeId> observe_;
 };
 
 }  // namespace fsct

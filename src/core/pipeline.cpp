@@ -100,9 +100,7 @@ struct Skeleton {
   const std::size_t maxlen = model.max_chain_length();
   const DistanceParams dist =
       opt.auto_dist ? DistanceParams::from_maxsize(maxlen) : opt.dist;
-  const std::size_t flush_cycles =  // the exported alternating flush
-      opt.alternating_cycles ? opt.alternating_cycles : 2 * maxlen + 8;
-  const ScanSequenceBuilder sb{nl, model.design()};
+  const ScanSequenceBuilder& sb = model.sequences();
 
   int step = -1;  // the step whose clock runs (see run)
   std::chrono::steady_clock::time_point t0 = {};
@@ -219,26 +217,15 @@ struct Skeleton {
 // the first phase that needs them.
 void Skeleton::build_dominance() {
   if (dom || !opt.dominance || hard().empty()) return;
-  if (opt.compiled && opt.compiled->dom && opt.compiled->domsets &&
-      opt.compiled->fcost) {
-    // Served from a compiled-model cache: the artifacts are pure functions
-    // of (netlist, fault list), so reuse is invisible to results.
-    dom = opt.compiled->dom;
-    domsets = opt.compiled->domsets;
-    fcost = opt.compiled->fcost;
-    return;
-  }
-  dom = std::make_shared<DominanceInfo>(collapse_dominant(nl, faults));
-  domsets = std::make_shared<FaultAdjacency>(dominated_sets(nl, faults));
-  std::vector<char> controllable(nl.size(), 0);
-  for (NodeId pi : nl.inputs()) {
-    controllable[pi] = !model.design().is_constrained(pi);
-  }
-  for (const ScanChain& c : model.design().chains) {
-    for (NodeId ff : c.ffs) controllable[ff] = 1;
-  }
-  fcost = std::make_shared<std::vector<Cost>>(
-      fault_excitation_costs(lv, controllable, faults));
+  // Served from a compiled-model cache: the artifacts are pure functions of
+  // (netlist, fault list), so reuse is invisible to results.
+  const bool cached = opt.compiled && opt.compiled->dom &&
+                      opt.compiled->domsets && opt.compiled->fcost;
+  const PipelineCompiled c =
+      cached ? *opt.compiled : compile_dominance(model, faults);
+  dom = c.dom;
+  domsets = c.domsets;
+  fcost = c.fcost;
 }
 
 // ---- step 0: classification -----------------------------------------------
@@ -287,7 +274,7 @@ void Skeleton::step1() {
   if (!opt.verify_easy || res.easy == 0) return;
   if (obs) obs->begin_phase("step1.alternating", res.easy);
   const ObsSpan phase(obs, "step1.alternating");
-  const std::size_t cycles = flush_cycles;
+  const std::size_t cycles = model.flush_cycles();
   std::vector<std::size_t> easy_idx;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (res.info[i].category == ChainFaultCategory::Easy) {
@@ -326,7 +313,7 @@ void Skeleton::flush_credit() {
   // traverse the longest chain once, which catches the vast majority of
   // flush-detectable faults at half the simulation cost; late detectors
   // simply stay on the ordinary step-2 path.
-  const std::size_t cycles = std::min(flush_cycles, maxlen + 8);
+  const std::size_t cycles = std::min(model.flush_cycles(), maxlen + 8);
   const std::vector<char> det =
       exec.seq_detect(sb.alternating(cycles), hard());
   for (std::size_t k = 0; k < hard().size(); ++k) {
@@ -349,24 +336,15 @@ void Skeleton::s2_podem() {
   const ObsSpan s2span(obs, "step2.atpg");
   std::vector<char>& comb_covered = st.comb_covered;
   UnrollSpec cspec;
-  cspec.base = &nl;
+  cspec.base = &lv;
   cspec.frames = 1;
   cspec.fixed_pis = model.design().pi_constraints;
   // Only scanned flip-flops are load/observe-able through the chains; in a
   // partial-scan design the rest stay uncontrolled (X) and unobserved.
-  cspec.controllable_state.assign(nl.dffs().size(), 0);
-  cspec.observable_ff.assign(nl.dffs().size(), 0);
-  {
-    std::vector<char> on_chain(nl.size(), 0);
-    for (const ScanChain& c : model.design().chains) {
-      for (NodeId ff : c.ffs) on_chain[ff] = 1;
-    }
-    for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-      cspec.controllable_state[i] = on_chain[nl.dffs()[i]];
-      cspec.observable_ff[i] = on_chain[nl.dffs()[i]];
-    }
+  for (const auto& [chain, pos] : sb.ff_positions()) {
+    cspec.controllable_state.push_back(chain >= 0);
   }
-  cspec.observe_pos = true;
+  cspec.observable_ff = cspec.controllable_state;
   UnrolledModel cm = unroll(cspec);
   Levelizer clv(cm.nl);
   AtpgOptions aopt;
@@ -482,17 +460,16 @@ void Skeleton::s2_podem() {
           }
         }
       } else if (r.status == AtpgStatus::Detected) {
+        // Unassigned state bits load as 0, unassigned PIs keep base_pi.
+        const SeqTest t = cm.base_inputs(r.assignment);
         ScanVector v;
         v.pi_vals = base_pi;
         v.ff_state.assign(nl.dffs().size(), Val::Zero);
-        for (auto [node, val] : r.assignment) {
-          for (std::size_t i = 0; i < cm.init_state.size(); ++i) {
-            if (cm.init_state[i] == node) v.ff_state[i] = val;
-          }
-          const auto& fpi = cm.frame_pi[0];
-          for (std::size_t i = 0; i < fpi.size(); ++i) {
-            if (fpi[i] == node) v.pi_vals[i] = val;
-          }
+        for (std::size_t i = 0; i < t.init_state.size(); ++i) {
+          if (t.init_state[i] != Val::X) v.ff_state[i] = t.init_state[i];
+        }
+        for (std::size_t i = 0; i < t.pi_frames[0].size(); ++i) {
+          if (t.pi_frames[0][i] != Val::X) v.pi_vals[i] = t.pi_frames[0][i];
         }
         // Screen the new vector against all still-open hard faults so most
         // faults never reach PODEM.
@@ -706,6 +683,26 @@ void Skeleton::s3_final() {
 }
 
 }  // namespace
+
+PipelineCompiled compile_dominance(const ScanModeModel& model,
+                                   std::span<const Fault> faults) {
+  const Levelizer& lv = model.levelizer();
+  const Netlist& nl = lv.netlist();
+  auto dom = std::make_shared<DominanceInfo>(collapse_dominant(nl, faults));
+  dom->targets.shrink_to_fit();  // a served model keeps it for its lifetime
+  // The sources step 2 may assign: free PIs and chain flip-flops.
+  std::vector<char> controllable(nl.size(), 0);
+  for (NodeId pi : nl.inputs()) {
+    controllable[pi] = !model.design().is_constrained(pi);
+  }
+  for (const ScanChain& c : model.design().chains) {
+    for (NodeId ff : c.ffs) controllable[ff] = 1;
+  }
+  return {std::move(dom),
+          std::make_shared<FaultAdjacency>(dominated_sets(nl, faults)),
+          std::make_shared<std::vector<Cost>>(
+              fault_excitation_costs(lv, controllable, faults))};
+}
 
 // The pipeline skeleton: the PipelinePhase list, run in order over one
 // PipelineState.  Control flow, merge order and counter charging live here

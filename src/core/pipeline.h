@@ -75,10 +75,8 @@ struct PipelineOptions {
   /// Random scan-mode patterns fault-simulated before any deterministic ATPG
   /// (classic RPG warm-up; keeps PODEM for the stubborn tail).  0 disables.
   int random_patterns = 96;
-  int frame_slack = 4;
   int frame_cap = 96;
   int final_extra_frames = 8;
-  bool observe_pos = true;
 
   /// Sequentially fault-simulate the alternating sequence against f_easy and
   /// report how many it really detects (the paper assumes all).
@@ -92,11 +90,6 @@ struct PipelineOptions {
   /// detection ledger that credits step-3 sequences against every still-open
   /// fault.  Off = exact historical behaviour (`--no-dominance`).
   bool dominance = true;
-  /// Cycles of alternating flush; 0 = auto (2*maxlen + 8).
-  std::size_t alternating_cycles = 0;
-  /// Extra shift-out cycles appended to each converted step-2 vector;
-  /// 0 = auto (maxlen + 2).
-  std::size_t observe_cycles = 0;
 
   /// Optional observability sink (counters, trace spans, -v progress lines);
   /// nullptr disables all observation.  The deterministic counters it
@@ -202,6 +195,11 @@ struct PipelineResult {
   std::size_t affecting() const { return easy + hard; }
   std::size_t final_undetected() const { return s3_undetected; }
 };
+
+/// The dominance artifacts of (model, faults), computed the one way the
+/// pipeline computes them when PipelineOptions::compiled is null.
+PipelineCompiled compile_dominance(const ScanModeModel& model,
+                                   std::span<const Fault> faults);
 
 /// Runs the whole flow.  `lv`/`model` must be built on the post-TPI netlist.
 PipelineResult run_fsct_pipeline(const ScanModeModel& model,

@@ -87,9 +87,7 @@ void run_items(ObsRegistry* obs, std::size_t num_faults, ThreadPool& pool,
 ReducedModelOptions item_model_options(const PipelineOptions& opt,
                                        int backtrack_limit, ObsRegistry* obs) {
   ReducedModelOptions ropt;
-  ropt.frame_slack = opt.frame_slack;
   ropt.frame_cap = opt.frame_cap;
-  ropt.observe_pos = opt.observe_pos;
   ropt.atpg.backtrack_limit = backtrack_limit;
   ropt.atpg.obs = obs;
   return ropt;
@@ -135,25 +133,12 @@ std::vector<std::size_t> open_hard_faults(const PipelineResult& res) {
 }
 
 std::vector<NodeId> pipeline_observe_list(const ScanModeModel& model) {
-  const Netlist& nl = model.levelizer().netlist();
-  std::vector<NodeId> observe = nl.outputs();
-  for (NodeId so : model.scan_outs()) {
-    if (std::find(observe.begin(), observe.end(), so) == observe.end()) {
-      observe.push_back(so);
-    }
-  }
-  return observe;
+  return model.observe();
 }
 
 LocalExec::LocalExec(const ScanModeModel& model, std::span<const Fault> faults,
                      const PipelineOptions& opt, ThreadPool& pool)
-    : model_(model),
-      faults_(faults),
-      opt_(opt),
-      pool_(pool),
-      obs_(opt.obs),
-      observe_(pipeline_observe_list(model)),
-      maxlen_(model.max_chain_length()) {}
+    : model_(model), faults_(faults), opt_(opt), pool_(pool), obs_(opt.obs) {}
 
 std::vector<ChainFaultInfo> LocalExec::classify(
     std::span<const std::size_t> ids) {
@@ -170,7 +155,7 @@ std::vector<char> LocalExec::seq_detect(const TestSequence& seq,
   std::vector<Fault> fv;
   fv.reserve(ids.size());
   for (std::size_t id : ids) fv.push_back(faults_[id]);
-  SeqFaultSim sim(model_.levelizer(), observe_, opt_.simd_width);
+  SeqFaultSim sim(model_.levelizer(), model_.observe(), opt_.simd_width);
   const SeqFaultSimResult r = sim.run(seq, fv, Val::X, &pool_, obs_, ids);
   for (std::size_t k = 0; k < ids.size(); ++k) {
     det[k] = r.detect_cycle[k] >= 0;
@@ -193,10 +178,9 @@ std::vector<int> LocalExec::s2_first_vec(std::span<const ScanVector> vectors,
                                          std::span<const std::size_t> ids) {
   std::vector<int> first(ids.size(), -1);
   if (ids.empty() || vectors.empty()) return first;
-  const std::size_t observe_cycles =
-      opt_.observe_cycles ? opt_.observe_cycles : maxlen_ + 2;
-  const ScanSequenceBuilder sb(model_.levelizer().netlist(), model_.design());
-  const SeqFaultSim ssim(model_.levelizer(), observe_, opt_.simd_width);
+  const ScanSequenceBuilder& sb = model_.sequences();
+  const SeqFaultSim ssim(model_.levelizer(), model_.observe(),
+                         opt_.simd_width);
   // Built once per phase, as each wave first needs them; the pairs point in.
   std::vector<TestSequence> seqs;
   seqs.reserve(vectors.size());
@@ -212,7 +196,7 @@ std::vector<int> LocalExec::s2_first_vec(std::span<const ScanVector> vectors,
     for (std::size_t vi = seqs.size(); vi < v1; ++vi) {
       seqs.push_back(sb.apply_comb_vector(vectors[vi].ff_state,
                                           vectors[vi].pi_vals,
-                                          observe_cycles));
+                                          model_.observe_cycles()));
     }
     // Detect cycle per pair, vector-major: pair p is vector v0 + p / |open|
     // against fault open[p % |open|].
@@ -275,7 +259,8 @@ GroupOutcome LocalExec::run_group(const AtpgGroup& g, ObsRegistry* obs) const {
   GroupOutcome out;
   const ReducedCircuitBuilder builder(
       model_, item_model_options(opt_, opt_.seq_backtrack_limit, obs));
-  const SeqFaultSim s3sim(model_.levelizer(), observe_, opt_.simd_width);
+  const SeqFaultSim s3sim(model_.levelizer(), model_.observe(),
+                          opt_.simd_width);
   std::vector<Fault> gf;
   for (std::size_t j : g.fault_indices) gf.push_back(faults_[j]);
   const ReducedModel rm = builder.build(g, gf);
@@ -290,8 +275,7 @@ GroupOutcome LocalExec::run_group(const AtpgGroup& g, ObsRegistry* obs) const {
     // Untestable in a *shared* window is not conclusive for absorbed
     // faults (they may have more ctrl/obs alone): final pass decides.
     if (r.status != AtpgStatus::Detected) continue;
-    TestSequence seq =
-        builder.realize(builder.extract_test(rm, r), maxlen_ + 2);
+    TestSequence seq = builder.realize(rm.um.base_inputs(r.assignment));
     const Fault one[1] = {faults_[j]};
     const std::size_t aid[1] = {j};
     if (s3sim.run_serial(seq, one, Val::X, obs, aid).detect_cycle[0] < 0) {
@@ -356,9 +340,9 @@ FinalOutcome LocalExec::run_final(std::size_t j,
   } else if (r.status != AtpgStatus::Detected) {
     out.verdict = FinalVerdict::Aborted;
   } else {
-    TestSequence seq =
-        builder.realize(builder.extract_test(rm, r), maxlen_ + 2);
-    const SeqFaultSim sim(model_.levelizer(), observe_, opt_.simd_width);
+    TestSequence seq = builder.realize(rm.um.base_inputs(r.assignment));
+    const SeqFaultSim sim(model_.levelizer(), model_.observe(),
+                          opt_.simd_width);
     const Fault one[1] = {f};
     const std::size_t aid[1] = {j};
     if (sim.run_serial(seq, one, Val::X, obs, aid).detect_cycle[0] < 0) {

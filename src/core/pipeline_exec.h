@@ -213,12 +213,10 @@ class LocalExec : public PipelineExec {
   const PipelineOptions& opt_;
   ThreadPool& pool_;
   ObsRegistry* obs_;
-  std::vector<NodeId> observe_;
-  std::size_t maxlen_;
 };
 
-/// The observation list every sequential simulation of the pipeline uses:
-/// primary outputs plus the scan-out ports (deduped, in that order).
+/// The observation list every sequential simulation of the pipeline uses,
+/// ScanModeModel::observe(); kept as an entry point for perfbench.
 std::vector<NodeId> pipeline_observe_list(const ScanModeModel& model);
 
 }  // namespace fsct

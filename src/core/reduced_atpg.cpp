@@ -3,6 +3,10 @@
 #include <algorithm>
 
 namespace fsct {
+namespace {
+// Frames a model gets beyond its window's spread.
+constexpr int kFrameSlack = 4;
+}  // namespace
 
 std::vector<Cost> fault_excitation_costs(const Levelizer& lv,
                                          const std::vector<char>& controllable,
@@ -32,9 +36,7 @@ std::vector<std::size_t> scoap_target_order(
 
 ReducedCircuitBuilder::ReducedCircuitBuilder(const ScanModeModel& model,
                                              ReducedModelOptions opt)
-    : model_(model),
-      opt_(opt),
-      seq_builder_(model.levelizer().netlist(), model.design()) {}
+    : model_(model), opt_(opt) {}
 
 int ReducedCircuitBuilder::frames_for(const AtpgGroup& g,
                                       int extra_frames) const {
@@ -43,7 +45,7 @@ int ReducedCircuitBuilder::frames_for(const AtpgGroup& g,
     spread = std::max(spread, w.max_seg - w.min_seg);
   }
   return std::min(opt_.frame_cap,
-                  std::max(3, spread + opt_.frame_slack + extra_frames));
+                  std::max(3, spread + kFrameSlack + extra_frames));
 }
 
 ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
@@ -56,7 +58,7 @@ ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
   // Per-FF controllability/observability from the group's window.
   std::vector<char> controllable(n_ff, 0), observable(n_ff, 0);
   for (std::size_t i = 0; i < n_ff; ++i) {
-    const auto [c, k] = seq_builder_.ff_positions()[i];
+    const auto [c, k] = model_.sequences().ff_positions()[i];
     if (c < 0) continue;  // not on any chain: neither
     const ChainWindow* w = nullptr;
     for (const ChainWindow& cw : g.window) {
@@ -91,22 +93,19 @@ ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
       observable[i] = 0;  // cannot show the effect; keep the model small
     }
   }
-  if (opt_.observe_pos) {
-    for (NodeId po : nl.outputs()) {
-      if (cone[po]) roots.push_back(po);
-    }
+  for (NodeId po : nl.outputs()) {
+    if (cone[po]) roots.push_back(po);
   }
 
   const std::vector<char> keep =
       compute_keep_mask(base_lv, model_.values(), cone, roots);
 
   UnrollSpec spec;
-  spec.base = &nl;
+  spec.base = &base_lv;
   spec.frames = frames_for(g, extra_frames);
   spec.fixed_pis = model_.design().pi_constraints;
   spec.controllable_state.assign(controllable.begin(), controllable.end());
   spec.observable_ff.assign(observable.begin(), observable.end());
-  spec.observe_pos = opt_.observe_pos;
   spec.keep = &keep;
   spec.fold_values = &model_.values();
 
@@ -119,53 +118,23 @@ ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
   return rm;
 }
 
-SeqTest ReducedCircuitBuilder::extract_test(const ReducedModel& rm,
-                                            const AtpgResult& res) const {
-  const Netlist& nl = model_.levelizer().netlist();
-  SeqTest t;
-  t.init_state.assign(nl.dffs().size(), Val::X);
-  t.pi_frames.assign(static_cast<std::size_t>(rm.um.frames()),
-                     std::vector<Val>(nl.inputs().size(), Val::X));
-  // Invert the unrolled-input maps.
-  for (auto [node, v] : res.assignment) {
-    bool matched = false;
-    for (std::size_t i = 0; i < rm.um.init_state.size() && !matched; ++i) {
-      if (rm.um.init_state[i] == node) {
-        t.init_state[i] = v;
-        matched = true;
-      }
-    }
-    for (int f = 0; f < rm.um.frames() && !matched; ++f) {
-      const auto& fpi = rm.um.frame_pi[static_cast<std::size_t>(f)];
-      for (std::size_t i = 0; i < fpi.size(); ++i) {
-        if (fpi[i] == node) {
-          t.pi_frames[static_cast<std::size_t>(f)][i] = v;
-          matched = true;
-          break;
-        }
-      }
-    }
-  }
-  return t;
-}
-
-TestSequence ReducedCircuitBuilder::realize(const SeqTest& t,
-                                            std::size_t observe_cycles) const {
+TestSequence ReducedCircuitBuilder::realize(const SeqTest& t) const {
   const ScanDesign& d = model_.design();
+  const ScanSequenceBuilder& sb = model_.sequences();
   // Chain-local wanted states from the per-FF init state.
   std::vector<std::vector<Val>> per_chain(d.chains.size());
   for (std::size_t c = 0; c < d.chains.size(); ++c) {
     per_chain[c].assign(d.chains[c].length(), Val::X);
   }
   for (std::size_t i = 0; i < t.init_state.size(); ++i) {
-    const auto [c, k] = seq_builder_.ff_positions()[i];
+    const auto [c, k] = sb.ff_positions()[i];
     if (c >= 0 && t.init_state[i] != Val::X) {
       per_chain[static_cast<std::size_t>(c)][static_cast<std::size_t>(k)] =
           t.init_state[i];
     }
   }
-  TestSequence seq = seq_builder_.load_state(per_chain);
-  const std::vector<Val> base = seq_builder_.base_vector(Val::Zero);
+  TestSequence seq = sb.load_state(per_chain);
+  const std::vector<Val> base = sb.base_vector(Val::Zero);
   for (const std::vector<Val>& frame : t.pi_frames) {
     std::vector<Val> v = base;
     for (std::size_t i = 0; i < frame.size(); ++i) {
@@ -173,7 +142,7 @@ TestSequence ReducedCircuitBuilder::realize(const SeqTest& t,
     }
     seq.push_back(std::move(v));
   }
-  for (std::size_t i = 0; i < observe_cycles; ++i) seq.push_back(base);
+  seq.insert(seq.end(), model_.observe_cycles(), base);
   return seq;
 }
 

@@ -23,14 +23,11 @@
 #include "core/grouping.h"
 #include "fault/seq_fault_sim.h"
 #include "scan/scan_mode_model.h"
-#include "scan/scan_sequences.h"
 
 namespace fsct {
 
 struct ReducedModelOptions {
-  int frame_slack = 4;
-  int frame_cap = 96;      ///< hard bound on time frames per model
-  bool observe_pos = true; ///< also observe POs inside the fault cones
+  int frame_cap = 96;  ///< hard bound on time frames per model
   AtpgOptions atpg;
 };
 
@@ -40,12 +37,6 @@ struct ReducedModel {
   std::unique_ptr<Levelizer> lv;
   std::unique_ptr<Podem> podem;
   int frames = 0;
-};
-
-/// A sequential test in base-circuit terms, extracted from a PODEM solution.
-struct SeqTest {
-  std::vector<Val> init_state;              ///< per base FF (X = don't care)
-  std::vector<std::vector<Val>> pi_frames;  ///< per frame, per base PI (X = dc)
 };
 
 /// SCOAP excitation cost per fault: the controllability cost of driving the
@@ -76,13 +67,11 @@ class ReducedCircuitBuilder {
   /// Frames a window needs: spread + slack, capped.
   int frames_for(const AtpgGroup& g, int extra_frames = 0) const;
 
-  /// Maps a PODEM solution on `rm` back to base-circuit terms.
-  SeqTest extract_test(const ReducedModel& rm, const AtpgResult& res) const;
-
-  /// Expands a SeqTest into a full clocked PI sequence: scan-load the wanted
-  /// state, apply the per-frame PI vectors, then `observe_cycles` flush
-  /// cycles.  Don't-care values become 0.
-  TestSequence realize(const SeqTest& t, std::size_t observe_cycles) const;
+  /// Expands a SeqTest (a PODEM solution on a built model, mapped back by
+  /// UnrolledModel::base_inputs) into a full clocked PI sequence: scan-load
+  /// the wanted state, apply the per-frame PI vectors, then the model's
+  /// observe_cycles() flush cycles.  Don't-care values become 0.
+  TestSequence realize(const SeqTest& t) const;
 
   const ScanModeModel& scan_model() const { return model_; }
   const ReducedModelOptions& options() const { return opt_; }
@@ -90,7 +79,6 @@ class ReducedCircuitBuilder {
  private:
   const ScanModeModel& model_;
   ReducedModelOptions opt_;
-  ScanSequenceBuilder seq_builder_;
 };
 
 }  // namespace fsct

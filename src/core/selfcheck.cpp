@@ -146,8 +146,7 @@ std::string oracle_ppsfp_seq(const ScannedWorld& w, std::mt19937_64 rng) {
   const Netlist& nl = w.nl;
   if (w.chain_ffs != nl.dffs().size() || w.chain_ffs == 0) return "";
 
-  const ScanSequenceBuilder sb(nl, w.design);
-  const std::size_t maxlen = w.model->max_chain_length();
+  const ScanSequenceBuilder& sb = w.model->sequences();
   const std::vector<Val> base = sb.base_vector(Val::Zero);
 
   // 64 random scan-mode patterns.  Scan-in PIs are held at the shift fill
@@ -181,14 +180,7 @@ std::string oracle_ppsfp_seq(const ScannedWorld& w, std::mt19937_64 rng) {
   const CombFaultSim ppsfp(*w.lv, comb_observe);
   const CombFaultSimResult cr = ppsfp.run(pats, w.faults);
 
-  std::vector<NodeId> seq_observe = nl.outputs();
-  for (NodeId so : w.model->scan_outs()) {
-    if (std::find(seq_observe.begin(), seq_observe.end(), so) ==
-        seq_observe.end()) {
-      seq_observe.push_back(so);
-    }
-  }
-  const SeqFaultSim ssim(*w.lv, seq_observe);
+  const SeqFaultSim ssim(*w.lv, w.model->observe());
 
   int converted = 0;
   for (std::size_t fi = 0; fi < w.faults.size(); ++fi) {
@@ -202,8 +194,8 @@ std::string oracle_ppsfp_seq(const ScannedWorld& w, std::mt19937_64 rng) {
                                                    nl.inputs().size()));
     const std::vector<Val> ff_state(
         p.begin() + static_cast<std::ptrdiff_t>(nl.inputs().size()), p.end());
-    const TestSequence seq = sb.apply_comb_vector(ff_state, pi_vals,
-                                                  maxlen + 2);
+    const TestSequence seq =
+        sb.apply_comb_vector(ff_state, pi_vals, w.model->observe_cycles());
     const Fault one[1] = {w.faults[fi]};
     if (ssim.run_serial(seq, one).detect_cycle[0] < 0) {
       return std::string(kOracleNames[1]) + ": " + fault_name(nl, w.faults[fi]) +
@@ -233,9 +225,7 @@ std::string oracle_cat3(const ScannedWorld& w, std::mt19937_64 rng) {
   // Random shift data AND random free-PI data: chain transparency is
   // established structurally by TPI, so category-3 cleanliness may not depend
   // on the mission inputs either.
-  const ScanSequenceBuilder sb(nl, w.design);
-  std::vector<char> is_scan_in(nl.size(), 0);
-  for (const ScanChain& c : w.design.chains) is_scan_in[c.scan_in] = 1;
+  const ScanSequenceBuilder& sb = w.model->sequences();
   const std::size_t cycles = 2 * w.model->max_chain_length() + 16;
   TestSequence seq;
   seq.reserve(cycles);
@@ -476,13 +466,7 @@ std::string oracle_dominance(const ScannedWorld& w,
 
 std::string oracle_simd(const ScannedWorld& w, std::mt19937_64 rng) {
   const Netlist& nl = w.nl;
-  std::vector<NodeId> observe = nl.outputs();
-  for (NodeId so : w.model->scan_outs()) {
-    if (so != kNullNode &&
-        std::find(observe.begin(), observe.end(), so) == observe.end()) {
-      observe.push_back(so);
-    }
-  }
+  const std::vector<NodeId>& observe = w.model->observe();
   if (observe.empty()) return "";
 
   // Random stimulus with a mix of binary and X data, long enough for fault

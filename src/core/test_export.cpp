@@ -135,18 +135,10 @@ void trace_segments(const Levelizer& lv, const TestSequence& stim,
 }  // namespace
 
 TestProgram make_test_program(const ScanModeModel& model,
-                              std::vector<TestSequence> segments,
-                              std::vector<NodeId> observe) {
+                              std::vector<TestSequence> segments) {
   const Levelizer& lv = model.levelizer();
   const Netlist& nl = lv.netlist();
-  if (observe.empty()) {
-    observe = nl.outputs();
-    for (NodeId so : model.scan_outs()) {
-      if (std::find(observe.begin(), observe.end(), so) == observe.end()) {
-        observe.push_back(so);
-      }
-    }
-  }
+  const std::vector<NodeId>& observe = model.observe();
   TestProgram p;
   p.circuit = nl.name();
   for (NodeId pi : nl.inputs()) p.input_names.push_back(nl.node_name(pi));
@@ -335,15 +327,13 @@ std::size_t run_test_program(const Levelizer& lv, const TestProgram& p,
 
 TestProgram make_chain_test_program(const ScanModeModel& model,
                                     const PipelineResult& result) {
-  const Netlist& nl = model.levelizer().netlist();
-  const ScanSequenceBuilder sb(nl, model.design());
-  const std::size_t maxlen = model.max_chain_length();
-
+  const ScanSequenceBuilder& sb = model.sequences();
   std::vector<TestSequence> segments;
   segments.reserve(1 + result.vectors.size() + result.s3_sequences.size());
-  segments.push_back(sb.alternating(2 * maxlen + 8));
+  segments.push_back(sb.alternating(model.flush_cycles()));
   for (const ScanVector& v : result.vectors) {
-    segments.push_back(sb.apply_comb_vector(v.ff_state, v.pi_vals, maxlen + 2));
+    segments.push_back(
+        sb.apply_comb_vector(v.ff_state, v.pi_vals, model.observe_cycles()));
   }
   segments.insert(segments.end(), result.s3_sequences.begin(),
                   result.s3_sequences.end());

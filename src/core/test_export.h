@@ -39,10 +39,9 @@ struct TestProgram {
 /// and records the expected strobe values.  A flat stimulus is the
 /// one-segment case; how the stimulus is cut never changes the program, only
 /// how fast its strobes are computed (segments are traced side by side, one
-/// per SIMD lane).  `observe` empty = POs + scan-outs.
+/// per SIMD lane).  The strobes are the model's observe() points.
 TestProgram make_test_program(const ScanModeModel& model,
-                              std::vector<TestSequence> segments,
-                              std::vector<NodeId> observe = {});
+                              std::vector<TestSequence> segments);
 
 /// Serialises / parses the text format (throws std::runtime_error with a
 /// line number on malformed input).
@@ -66,9 +65,10 @@ std::size_t run_test_program(const Levelizer& lv, const TestProgram& p,
                              const Fault* fault = nullptr);
 
 /// Assembles the complete chain test program from a pipeline result: the
-/// alternating flush, every step-2 vector as a scan-load + flush-out
-/// sequence, and every verified step-3 sequential test, concatenated into
-/// one scan-mode stimulus with expected responses.
+/// alternating flush (flush_cycles() long), every step-2 vector as a scan
+/// load + observe_cycles() flush-out sequence, and every verified step-3
+/// sequential test, concatenated into one scan-mode stimulus with expected
+/// responses.  These are the model's sequences the pipeline simulated.
 TestProgram make_chain_test_program(const ScanModeModel& model,
                                     const PipelineResult& result);
 

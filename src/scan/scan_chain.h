@@ -12,6 +12,7 @@
 // still works, the testing code just tracks the parity.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -66,6 +67,13 @@ struct ScanDesign {
   std::vector<ScanChain> chains;
   int test_points = 0;  ///< TPI gates inserted
   int scan_muxes = 0;   ///< dedicated scan muxes inserted
+
+  /// Longest chain length (the paper's `maxsize`).
+  std::size_t max_chain_length() const {
+    std::size_t m = 0;
+    for (const ScanChain& c : chains) m = std::max(m, c.length());
+    return m;
+  }
 
   /// True if `pi` is constrained during scan mode.
   bool is_constrained(NodeId pi) const {

@@ -7,8 +7,19 @@
 namespace fsct {
 
 ScanModeModel::ScanModeModel(const Levelizer& lv, const ScanDesign& design)
-    : lv_(lv), design_(design) {
+    : lv_(lv),
+      design_(design),
+      observe_(lv.netlist().outputs()),
+      sequences_(lv.netlist(), design),
+      max_len_(design.max_chain_length()),
+      flush_cycles_(2 * max_len_ + 8),
+      observe_cycles_(max_len_ + 2) {
   const Netlist& nl = lv.netlist();
+  for (NodeId so : scan_outs()) {
+    if (std::find(observe_.begin(), observe_.end(), so) == observe_.end()) {
+      observe_.push_back(so);
+    }
+  }
   values_.assign(nl.size(), Val::X);
   for (auto [pi, v] : design.pi_constraints) values_[pi] = v;
   CombSim sim(lv);
@@ -57,12 +68,6 @@ ScanModeModel::ScanModeModel(const Levelizer& lv, const ScanDesign& design)
   side_net_list_.reserve(sides_.size());
   for (const auto& [n, lst] : sides_) side_net_list_.push_back(n);
   std::sort(side_net_list_.begin(), side_net_list_.end());
-}
-
-std::size_t ScanModeModel::max_chain_length() const {
-  std::size_t m = 0;
-  for (const ScanChain& c : design_.chains) m = std::max(m, c.length());
-  return m;
 }
 
 std::vector<NodeId> ScanModeModel::scan_outs() const {

@@ -3,6 +3,12 @@
 // to the scan chains.  This is the structure sections 2–3 of the paper reason
 // about: chain nets carry shift data (X in 3-valued scan-mode simulation),
 // side-input nets of chain gates are binary non-controlling constants.
+//
+// The model is also the one owner of how a test is applied in scan mode:
+// the observation points, the sequence builder (and with it the flip-flop ->
+// chain position table) and the flush and observe lengths.  The pipeline
+// that claims detections and the export that ships them both read these, so
+// every claimed detection replays through the exported program.
 #pragma once
 
 #include <optional>
@@ -11,6 +17,7 @@
 
 #include "netlist/levelize.h"
 #include "scan/scan_chain.h"
+#include "scan/scan_sequences.h"
 
 namespace fsct {
 
@@ -63,10 +70,25 @@ class ScanModeModel {
   const Levelizer& levelizer() const { return lv_; }
 
   /// Longest chain length (the paper's `maxsize`).
-  std::size_t max_chain_length() const;
+  std::size_t max_chain_length() const { return max_len_; }
 
   /// Scan-out Q nodes, one per chain (observed every cycle in scan mode).
   std::vector<NodeId> scan_outs() const;
+
+  /// What every sequential simulation of a scan-mode test observes: the
+  /// primary outputs, then the scan-outs that are not already among them.
+  const std::vector<NodeId>& observe() const { return observe_; }
+
+  /// The sequence builder of this design; its ff_positions() is the one
+  /// flip-flop -> (chain, position) table.
+  const ScanSequenceBuilder& sequences() const { return sequences_; }
+
+  /// Cycles of the alternating flush that heads every test program.
+  std::size_t flush_cycles() const { return flush_cycles_; }
+
+  /// Shift cycles after a scan load (or a sequential test) that bring the
+  /// captured response out to the scan-outs.
+  std::size_t observe_cycles() const { return observe_cycles_; }
 
   /// Checks the TPI invariant: every recorded non-XOR/MUX side input is at
   /// its non-controlling value.  Returns empty string if OK.
@@ -79,6 +101,11 @@ class ScanModeModel {
   std::vector<ChainLocation> chain_loc_;
   std::unordered_map<NodeId, std::vector<SideAttachment>> sides_;
   std::vector<NodeId> side_net_list_;
+  std::vector<NodeId> observe_;
+  ScanSequenceBuilder sequences_;
+  std::size_t max_len_;
+  std::size_t flush_cycles_;
+  std::size_t observe_cycles_;
 };
 
 }  // namespace fsct

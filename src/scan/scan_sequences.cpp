@@ -1,6 +1,5 @@
 #include "scan/scan_sequences.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace fsct {
@@ -26,12 +25,6 @@ ScanSequenceBuilder::ScanSequenceBuilder(const Netlist& nl,
       }
     }
   }
-}
-
-std::size_t ScanSequenceBuilder::max_chain_length() const {
-  std::size_t m = 0;
-  for (const ScanChain& c : design_.chains) m = std::max(m, c.length());
-  return m;
 }
 
 std::pair<int, int> ScanSequenceBuilder::chain_position(NodeId ff) const {
@@ -70,7 +63,7 @@ TestSequence ScanSequenceBuilder::load_state(
   if (state.size() != design_.chains.size()) {
     throw std::invalid_argument("load_state: one state vector per chain");
   }
-  const std::size_t len = max_chain_length();
+  const std::size_t len = design_.max_chain_length();
   TestSequence seq;
   seq.reserve(len);
   for (std::size_t t = 0; t < len; ++t) {

@@ -53,8 +53,6 @@ class ScanSequenceBuilder {
     return ff_pos_;
   }
 
-  std::size_t max_chain_length() const;
-
  private:
   const Netlist& nl_;
   const ScanDesign& design_;

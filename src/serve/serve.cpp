@@ -249,26 +249,12 @@ std::shared_ptr<const CompiledModel> build_model(const ServeRequest& req) {
   }
   cm->faults = collapsed_fault_list(cm->nl);
   // The cache keeps the model for its lifetime: drop the growth slack of
-  // the fault list and (below) of the dominance targets.
+  // the fault list (compile_dominance does the same for its targets).
   cm->faults.shrink_to_fit();
 
-  // Precompute the dominance artifacts exactly as run_fsct_pipeline would
-  // (same inputs, same calls — reuse must be invisible to results).
-  auto dom =
-      std::make_shared<DominanceInfo>(collapse_dominant(cm->nl, cm->faults));
-  dom->targets.shrink_to_fit();
-  cm->compiled.dom = std::move(dom);
-  cm->compiled.domsets =
-      std::make_shared<FaultAdjacency>(dominated_sets(cm->nl, cm->faults));
-  std::vector<char> controllable(cm->nl.size(), 0);
-  for (NodeId pi : cm->nl.inputs()) {
-    controllable[pi] = !cm->design.is_constrained(pi);
-  }
-  for (const ScanChain& c : cm->design.chains) {
-    for (NodeId ff : c.ffs) controllable[ff] = 1;
-  }
-  cm->compiled.fcost = std::make_shared<std::vector<Cost>>(
-      fault_excitation_costs(*cm->lv, controllable, cm->faults));
+  // The dominance artifacts, by the function run_fsct_pipeline calls
+  // (reuse must be invisible to results).
+  cm->compiled = compile_dominance(*cm->model, cm->faults);
 
   // Warm the SoA memo so every engine of every request served from this
   // model shares one flat compilation (soa_compile_count() counts this one).

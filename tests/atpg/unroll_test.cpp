@@ -11,18 +11,24 @@ namespace {
 constexpr Val k0 = Val::Zero;
 constexpr Val k1 = Val::One;
 
-UnrollSpec basic_spec(const Netlist& nl, int frames) {
+// small_pipeline() and its levelization, which an UnrollSpec points at.
+struct Base {
+  Netlist nl = small_pipeline();
+  Levelizer lv{nl};
+};
+
+UnrollSpec basic_spec(const Levelizer& lv, int frames) {
   UnrollSpec s;
-  s.base = &nl;
+  s.base = &lv;
   s.frames = frames;
-  s.controllable_state.assign(nl.dffs().size(), 1);
-  s.observable_ff.assign(nl.dffs().size(), 1);
+  s.controllable_state.assign(lv.netlist().dffs().size(), 1);
+  s.observable_ff.assign(lv.netlist().dffs().size(), 1);
   return s;
 }
 
 TEST(Unroll, OneFrameShape) {
-  const Netlist nl = small_pipeline();  // 3 PIs, 3 FFs, 2 gates
-  const UnrolledModel m = unroll(basic_spec(nl, 1));
+  const Base b;  // 3 PIs, 3 FFs, 2 gates
+  const UnrolledModel m = unroll(basic_spec(b.lv, 1));
   EXPECT_EQ(m.frames(), 1);
   EXPECT_EQ(m.nl.validate(), "");
   // 3 state inputs + 3 PIs + 2 gates + 3 caps = 11 nodes.
@@ -34,8 +40,9 @@ TEST(Unroll, OneFrameShape) {
 }
 
 TEST(Unroll, FramesChainThroughCaptureBuffers) {
-  const Netlist nl = small_pipeline();
-  const UnrolledModel m = unroll(basic_spec(nl, 3));
+  const Base b;
+  const Netlist& nl = b.nl;
+  const UnrolledModel m = unroll(basic_spec(b.lv, 3));
   const NodeId f2 = nl.find("f2");
   const std::size_t ffi = 1;  // f2 is the second DFF
   // Frame-2 Q of f2 must be frame-1 capture buffer.
@@ -45,8 +52,9 @@ TEST(Unroll, FramesChainThroughCaptureBuffers) {
 }
 
 TEST(Unroll, FixedPisBecomeSharedConstants) {
-  const Netlist nl = small_pipeline();
-  UnrollSpec s = basic_spec(nl, 2);
+  const Base b;
+  const Netlist& nl = b.nl;
+  UnrollSpec s = basic_spec(b.lv, 2);
   s.fixed_pis = {{nl.find("c1"), Val::One}};
   const UnrolledModel m = unroll(s);
   const NodeId u0 = m.frame_pi[0][1];  // c1 is input index 1
@@ -57,16 +65,18 @@ TEST(Unroll, FixedPisBecomeSharedConstants) {
 }
 
 TEST(Unroll, UncontrollableStateIsNotAssignable) {
-  const Netlist nl = small_pipeline();
-  UnrollSpec s = basic_spec(nl, 1);
+  const Base b;
+  const Netlist& nl = b.nl;
+  UnrollSpec s = basic_spec(b.lv, 1);
   s.controllable_state.assign(nl.dffs().size(), 0);
   const UnrolledModel m = unroll(s);
   for (NodeId st : m.init_state) EXPECT_FALSE(m.controllable[st]);
 }
 
 TEST(Unroll, MapFaultGateFaultInEveryFrame) {
-  const Netlist nl = small_pipeline();
-  const UnrolledModel m = unroll(basic_spec(nl, 3));
+  const Base b;
+  const Netlist& nl = b.nl;
+  const UnrolledModel m = unroll(basic_spec(b.lv, 3));
   const Fault f{nl.find("g1"), -1, true};
   const auto sites = m.map_fault(f);
   ASSERT_EQ(sites.size(), 3u);
@@ -78,8 +88,9 @@ TEST(Unroll, MapFaultGateFaultInEveryFrame) {
 }
 
 TEST(Unroll, MapFaultDffOutputCoversInitAndCaps) {
-  const Netlist nl = small_pipeline();
-  const UnrolledModel m = unroll(basic_spec(nl, 2));
+  const Base b;
+  const Netlist& nl = b.nl;
+  const UnrolledModel m = unroll(basic_spec(b.lv, 2));
   const Fault f{nl.find("f1"), -1, false};
   const auto sites = m.map_fault(f);
   // init_state + 2 caps = 3 sites.
@@ -90,8 +101,9 @@ TEST(Unroll, MapFaultDffOutputCoversInitAndCaps) {
 }
 
 TEST(Unroll, MapFaultDffPinTargetsCaptureBuffers) {
-  const Netlist nl = small_pipeline();
-  const UnrolledModel m = unroll(basic_spec(nl, 2));
+  const Base b;
+  const Netlist& nl = b.nl;
+  const UnrolledModel m = unroll(basic_spec(b.lv, 2));
   const Fault f{nl.find("f3"), 0, true};
   const auto sites = m.map_fault(f);
   ASSERT_EQ(sites.size(), 2u);
@@ -100,8 +112,9 @@ TEST(Unroll, MapFaultDffPinTargetsCaptureBuffers) {
 }
 
 TEST(Unroll, MapFaultOnFixedPiDeduplicates) {
-  const Netlist nl = small_pipeline();
-  UnrollSpec s = basic_spec(nl, 3);
+  const Base b;
+  const Netlist& nl = b.nl;
+  UnrollSpec s = basic_spec(b.lv, 3);
   s.fixed_pis = {{nl.find("c1"), Val::One}};
   const UnrolledModel m = unroll(s);
   const Fault f{nl.find("c1"), -1, false};
@@ -112,8 +125,8 @@ TEST(Unroll, MapFaultOnFixedPiDeduplicates) {
 TEST(Unroll, UnrolledCircuitSimulatesLikeSequential) {
   // Pair-simulate the fault-free unrolled pipeline and compare with the
   // sequential semantics by hand: f2@c1 = NAND(f1@1, c1@1).
-  const Netlist nl = small_pipeline();
-  UnrollSpec s = basic_spec(nl, 2);
+  const Base b;
+  UnrollSpec s = basic_spec(b.lv, 2);
   const UnrolledModel m = unroll(s);
   Levelizer lv(m.nl);
   PairSim sim(lv);
@@ -132,8 +145,9 @@ TEST(Unroll, UnrolledCircuitSimulatesLikeSequential) {
 TEST(Unroll, PrunedModelFoldsFrozenLogic) {
   // c2 fixed to 1 makes g2 = NOR(f2, 1) = 0 constant: with pruning rooted at
   // the PO side everything behind the frozen net folds away.
-  const Netlist nl = small_pipeline();
-  Levelizer lv(nl);
+  const Base b;
+  const Netlist& nl = b.nl;
+  const Levelizer& lv = b.lv;
   std::vector<Val> values(nl.size(), Val::X);
   values[nl.find("c2")] = k1;
   CombSim csim(lv);
@@ -148,7 +162,7 @@ TEST(Unroll, PrunedModelFoldsFrozenLogic) {
   EXPECT_TRUE(keep[nl.find("f1")]);
   EXPECT_FALSE(keep[nl.find("c2")]);  // frozen PI folds
 
-  UnrollSpec s = basic_spec(nl, 2);
+  UnrollSpec s = basic_spec(b.lv, 2);
   s.fixed_pis = {{nl.find("c2"), Val::One}};
   s.keep = &keep;
   s.fold_values = &values;
@@ -160,16 +174,29 @@ TEST(Unroll, PrunedModelFoldsFrozenLogic) {
   EXPECT_EQ(sites.size(), 2u);
 }
 
+TEST(Unroll, BaseInputsInvertTheInputMaps) {
+  const Base b;
+  const UnrolledModel m = unroll(basic_spec(b.lv, 2));
+  const std::pair<NodeId, Val> assignment[] = {{m.init_state[1], k1},
+                                               {m.frame_pi[1][2], k0}};
+  const SeqTest t = m.base_inputs(assignment);
+  EXPECT_EQ(t.init_state, (std::vector<Val>{Val::X, k1, Val::X}));
+  ASSERT_EQ(t.pi_frames.size(), 2u);
+  EXPECT_EQ(t.pi_frames[0], std::vector<Val>(3, Val::X));
+  EXPECT_EQ(t.pi_frames[1], (std::vector<Val>{Val::X, Val::X, k0}));
+}
+
 TEST(Unroll, BadSpecsThrow) {
-  const Netlist nl = small_pipeline();
+  const Base b;
+  const Netlist& nl = b.nl;
   UnrollSpec s;
   EXPECT_THROW(unroll(s), std::invalid_argument);
-  s = basic_spec(nl, 0);
+  s = basic_spec(b.lv, 0);
   EXPECT_THROW(unroll(s), std::invalid_argument);
-  s = basic_spec(nl, 1);
+  s = basic_spec(b.lv, 1);
   s.controllable_state.pop_back();
   EXPECT_THROW(unroll(s), std::invalid_argument);
-  s = basic_spec(nl, 1);
+  s = basic_spec(b.lv, 1);
   std::vector<char> keep(nl.size(), 1);
   s.keep = &keep;  // without fold_values
   EXPECT_THROW(unroll(s), std::invalid_argument);

@@ -27,8 +27,8 @@ struct World {
     return make_random_sequential(spec);
   }
   TestSequence stimulus() const {
-    ScanSequenceBuilder sb(nl, design);
-    TestSequence seq = sb.alternating(2 * model.max_chain_length() + 8);
+    const ScanSequenceBuilder& sb = model.sequences();
+    TestSequence seq = sb.alternating(model.flush_cycles());
     // A second phase with inverted fill exercises more of the chain logic.
     TestSequence more = sb.alternating(model.max_chain_length(), Val::One);
     seq.insert(seq.end(), more.begin(), more.end());

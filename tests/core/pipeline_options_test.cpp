@@ -49,20 +49,6 @@ TEST(PipelineOptions, NoRandomPatternsPureAtpg) {
   EXPECT_GT(r.s2_detected + r.s2_undetectable, 0u);
 }
 
-TEST(PipelineOptions, WithAndWithoutPoObservation) {
-  World w(501);
-  PipelineOptions with;
-  PipelineOptions without;
-  without.observe_pos = false;
-  const PipelineResult a = run_fsct_pipeline(w.model, w.faults, with);
-  const PipelineResult b = run_fsct_pipeline(w.model, w.faults, without);
-  check_invariants(a);
-  check_invariants(b);
-  // Dropping the PO observation can only lose step-3 coverage.
-  EXPECT_LE(b.s3_detected, a.s3_detected + a.s3_undetectable +
-                               a.s3_undetected);
-}
-
 TEST(PipelineOptions, ManualDistanceParams) {
   World w(502);
   PipelineOptions opt;
@@ -115,20 +101,6 @@ TEST(PipelineOptions, TimeLimitFieldsAreIgnored) {
   check_invariants(b);
   EXPECT_EQ(diff_pipeline_results(a, b), "");
   EXPECT_EQ(base_obs.counters_json(), tight_obs.counters_json());
-}
-
-TEST(PipelineOptions, ExplicitObserveCyclesRespected) {
-  World w(506);
-  PipelineOptions a;
-  a.observe_cycles = 1;  // too short to flush everything out
-  PipelineOptions b;
-  b.observe_cycles = 2 * w.model.max_chain_length();
-  const PipelineResult ra = run_fsct_pipeline(w.model, w.faults, a);
-  const PipelineResult rb = run_fsct_pipeline(w.model, w.faults, b);
-  check_invariants(ra);
-  check_invariants(rb);
-  // Longer observation windows never reduce step-2 coverage.
-  EXPECT_LE(ra.s2_detected, rb.s2_detected);
 }
 
 }  // namespace

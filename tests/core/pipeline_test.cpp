@@ -190,8 +190,7 @@ std::vector<int> per_vector_first(const ScanModeModel& model,
                                   std::span<const Fault> faults,
                                   std::span<const ScanVector> vectors,
                                   std::span<const std::size_t> ids) {
-  const ScanSequenceBuilder sb(model.levelizer().netlist(), model.design());
-  const SeqFaultSim ssim(model.levelizer(), pipeline_observe_list(model), 64);
+  const SeqFaultSim ssim(model.levelizer(), model.observe(), 64);
   std::vector<int> first(ids.size(), -1);
   for (std::size_t vi = 0; vi < vectors.size(); ++vi) {
     std::vector<Fault> open;
@@ -203,9 +202,8 @@ std::vector<int> per_vector_first(const ScanModeModel& model,
       }
     }
     if (open.empty()) break;
-    const TestSequence seq =
-        sb.apply_comb_vector(vectors[vi].ff_state, vectors[vi].pi_vals,
-                             model.max_chain_length() + 2);
+    const TestSequence seq = model.sequences().apply_comb_vector(
+        vectors[vi].ff_state, vectors[vi].pi_vals, model.observe_cycles());
     const SeqFaultSimResult r = ssim.run(seq, open);
     for (std::size_t m = 0; m < open.size(); ++m) {
       if (r.detect_cycle[m] >= 0) first[pos[m]] = static_cast<int>(vi);

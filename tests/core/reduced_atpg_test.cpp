@@ -76,8 +76,8 @@ TEST(ReducedAtpg, ExtractedTestVerifiesEndToEnd) {
   const AtpgResult r = rm.podem->generate(rm.um.map_fault(f));
   ASSERT_EQ(r.status, AtpgStatus::Detected);
 
-  const SeqTest t = b.builder.extract_test(rm, r);
-  const TestSequence seq = b.builder.realize(t, 8);
+  const SeqTest t = rm.um.base_inputs(r.assignment);
+  const TestSequence seq = b.builder.realize(t);
   std::vector<NodeId> observe = b.e.nl.outputs();
   SeqFaultSim sim(b.lv, observe);
   const Fault faults[] = {f};
@@ -109,8 +109,8 @@ TEST(ReducedAtpg, WindowFromClassifier) {
   const AtpgResult r = rm.podem->generate(rm.um.map_fault(f));
   ASSERT_EQ(r.status, AtpgStatus::Detected);
 
-  const SeqTest t = b.builder.extract_test(rm, r);
-  const TestSequence seq = b.builder.realize(t, 8);
+  const SeqTest t = rm.um.base_inputs(r.assignment);
+  const TestSequence seq = b.builder.realize(t);
   SeqFaultSim sim(b.lv, b.e.nl.outputs());
   const Fault faults[] = {f};
   EXPECT_GE(sim.run_serial(seq, faults).detect_cycle[0], 0);
@@ -122,14 +122,18 @@ TEST(ReducedAtpg, RealizeUsesLoadThenFramesThenFlush) {
   t.init_state.assign(b.e.nl.dffs().size(), Val::X);
   t.init_state[0] = k1;
   t.pi_frames.assign(2, std::vector<Val>(b.e.nl.inputs().size(), Val::X));
-  const TestSequence seq = b.builder.realize(t, 3);
-  // load (6 = chain length) + 2 frames + 3 flush.
-  EXPECT_EQ(seq.size(), 6u + 2u + 3u);
+  const TestSequence seq = b.builder.realize(t);
+  // load (6 = chain length) + 2 frames + 8 (6 + 2) flush.
+  EXPECT_EQ(seq.size(), 6u + 2u + 8u);
   // Every cycle keeps the scan-mode constraints.
   for (const auto& v : seq) {
     for (std::size_t i = 0; i < b.e.nl.inputs().size(); ++i) {
-      if (b.e.nl.inputs()[i] == b.e.design.scan_mode) EXPECT_EQ(v[i], k1);
-      if (b.e.nl.inputs()[i] == b.e.nl.find("en")) EXPECT_EQ(v[i], k1);
+      if (b.e.nl.inputs()[i] == b.e.design.scan_mode) {
+        EXPECT_EQ(v[i], k1);
+      }
+      if (b.e.nl.inputs()[i] == b.e.nl.find("en")) {
+        EXPECT_EQ(v[i], k1);
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "bench_circuits/generator.h"
@@ -32,8 +33,7 @@ struct World {
     return make_random_sequential(spec);
   }
   TestSequence stimulus() const {
-    const ScanSequenceBuilder sb(nl, design);
-    return sb.alternating(2 * model.max_chain_length() + 8);
+    return model.sequences().alternating(model.flush_cycles());
   }
 };
 
@@ -146,22 +146,21 @@ void expect_scalar_exact(const Levelizer& lv, const TestProgram& p,
 // Chain-test-shaped segments: the flush, `vectors` random scan loads with
 // observe, then one random free-running sequence (random X-laced stimulus on
 // every PI, like a step-3 test leaving scan mode).
-std::vector<TestSequence> random_segments(const Netlist& nl,
-                                          const ScanDesign& d,
-                                          std::size_t maxlen,
+std::vector<TestSequence> random_segments(const ScanModeModel& model,
                                           std::size_t vectors,
                                           std::mt19937_64& rng) {
-  const ScanSequenceBuilder sb(nl, d);
+  const Netlist& nl = model.levelizer().netlist();
+  const ScanSequenceBuilder& sb = model.sequences();
   auto rand_3val = [&rng]() {
     const auto r = rng() & 7;
     return r < 2 ? Val::X : (r & 1) ? Val::One : Val::Zero;
   };
-  std::vector<TestSequence> segs{sb.alternating(2 * maxlen + 8)};
+  std::vector<TestSequence> segs{sb.alternating(model.flush_cycles())};
   for (std::size_t k = 0; k < vectors; ++k) {
     std::vector<Val> ff(nl.dffs().size()), pi(nl.inputs().size());
     for (Val& v : ff) v = rand_3val();
     for (Val& v : pi) v = rand_3val();
-    segs.push_back(sb.apply_comb_vector(ff, pi, maxlen + 2));
+    segs.push_back(sb.apply_comb_vector(ff, pi, model.observe_cycles()));
   }
   TestSequence free_run(12, std::vector<Val>(nl.inputs().size()));
   for (auto& row : free_run) {
@@ -201,8 +200,8 @@ TEST_P(TestExport, SegmentedTraceMatchesScalarOnSuite) {
     const ScanDesign d = run_tpi(nl, topt);
     const Levelizer lv(nl);
     const ScanModeModel model(lv, d);
-    const TestProgram p = make_test_program(
-        model, random_segments(nl, d, model.max_chain_length(), 4, rng));
+    const TestProgram p =
+        make_test_program(model, random_segments(model, 4, rng));
     expect_scalar_exact(lv, p,
                         nl.name() + " permille " + std::to_string(permille));
   }
@@ -219,11 +218,44 @@ TEST(TestExport, ChainProgramWithStep3SequencesMatchesScalar) {
   expect_scalar_exact(w.lv, make_chain_test_program(w.model, r), "seed 83");
 }
 
+// The chain program plays the model's flush, then one scan load plus
+// observe_cycles() segment per step-2 vector, then the step-3 sequences.
+TEST(TestExport, ChainProgramSegmentLengths) {
+  World w(83);
+  const PipelineResult r =
+      run_fsct_pipeline(w.model, collapsed_fault_list(w.nl));
+  ASSERT_FALSE(r.vectors.empty());
+  const TestProgram p = make_chain_test_program(w.model, r);
+  const ScanSequenceBuilder& sb = w.model.sequences();
+  std::size_t at = 0;
+  auto expect_segment = [&](const TestSequence& seg, std::size_t len,
+                            const std::string& what) {
+    ASSERT_EQ(seg.size(), len) << what;
+    ASSERT_LE(at + len, p.stimulus.size()) << what;
+    EXPECT_TRUE(std::equal(seg.begin(), seg.end(),
+                           p.stimulus.begin() + static_cast<std::ptrdiff_t>(at)))
+        << what;
+    at += len;
+  };
+  expect_segment(sb.alternating(w.model.flush_cycles()),
+                 w.model.flush_cycles(), "flush");
+  for (std::size_t k = 0; k < r.vectors.size(); ++k) {
+    const ScanVector& v = r.vectors[k];
+    expect_segment(
+        sb.apply_comb_vector(v.ff_state, v.pi_vals, w.model.observe_cycles()),
+        w.model.max_chain_length() + w.model.observe_cycles(),
+        "step-2 vector " + std::to_string(k));
+  }
+  for (const TestSequence& seq : r.s3_sequences) {
+    expect_segment(seq, seq.size(), "step-3 sequence");
+  }
+  EXPECT_EQ(at, p.stimulus.size());
+}
+
 TEST(TestExport, MoreSegmentsThanLanesMatchScalar) {
   World w(86);
   std::mt19937_64 rng(86);
-  const std::vector<TestSequence> segs =
-      random_segments(w.nl, w.design, w.model.max_chain_length(), 150, rng);
+  const std::vector<TestSequence> segs = random_segments(w.model, 150, rng);
   ASSERT_GT(segs.size(), 128u);  // three 64-lane blocks
   expect_scalar_exact(w.lv, make_test_program(w.model, segs), "150 vectors");
   // Cutting the same stimulus differently never changes the program.
@@ -257,8 +289,8 @@ TEST(TestExport, Figure2ProgramFromPipelineVectors) {
   ExampleDesign e = paper_figure2();
   const Levelizer lv(e.nl);
   const ScanModeModel model(lv, e.design);
-  const ScanSequenceBuilder sb(e.nl, e.design);
-  const TestProgram p = make_test_program(model, {sb.alternating(20)});
+  const TestProgram p =
+      make_test_program(model, {model.sequences().alternating(20)});
   EXPECT_EQ(run_test_program(lv, p), 0u);
   const Fault f{e.nl.find("a"), -1, true};  // category-1 chain fault
   EXPECT_GT(run_test_program(lv, p, &f), 0u);

@@ -79,9 +79,8 @@ TEST(Integration, Step3TestsVerifiedEndToEnd) {
     const AtpgResult r = rm.podem->generate(sites);
     if (r.status != AtpgStatus::Detected) continue;
     ++detected;
-    const SeqTest t = builder.extract_test(rm, r);
     const TestSequence seq =
-        builder.realize(t, model.max_chain_length() + 2);
+        builder.realize(rm.um.base_inputs(r.assignment));
     const Fault one[] = {f};
     if (sim.run_serial(seq, one).detect_cycle[0] >= 0) ++verified;
   }

@@ -97,12 +97,9 @@ TEST_P(PropertySeed, P2_Category1FaultsCaughtByAlternatingFlush) {
     }
   }
   ASSERT_FALSE(cat1.empty());
-  const ScanSequenceBuilder sb(w.nl, w.design);
-  std::vector<NodeId> observe = w.nl.outputs();
-  for (NodeId so : w.model.scan_outs()) observe.push_back(so);
-  SeqFaultSim sim(w.lv, observe);
-  const auto r =
-      sim.run(sb.alternating(2 * w.model.max_chain_length() + 8), cat1);
+  SeqFaultSim sim(w.lv, w.model.observe());
+  const auto r = sim.run(
+      w.model.sequences().alternating(w.model.flush_cycles()), cat1);
   for (std::size_t i = 0; i < cat1.size(); ++i) {
     EXPECT_GE(r.detect_cycle[i], 0)
         << fault_name(w.nl, cat1[i]) << " escaped the alternating sequence";
@@ -144,7 +141,7 @@ TEST_P(PropertySeed, P4_UntestableVerdictsSurviveRandomAttack) {
   World w(GetParam(), 180, 12);
   // Combinational scan-mode model, all state controllable/observable.
   UnrollSpec spec;
-  spec.base = &w.nl;
+  spec.base = &w.lv;
   spec.frames = 1;
   spec.fixed_pis = w.design.pi_constraints;
   spec.controllable_state.assign(w.nl.dffs().size(), 1);

@@ -65,6 +65,22 @@ TEST(ScanModeModel, MaxChainLengthAndScanOuts) {
   EXPECT_EQ(m.max_chain_length(), 6u);
   ASSERT_EQ(m.scan_outs().size(), 1u);
   EXPECT_EQ(m.scan_outs()[0], e.nl.find("f6"));
+  // How a test is applied: flush 2*6+8 cycles, observe 6+2 after a load.
+  EXPECT_EQ(m.flush_cycles(), 20u);
+  EXPECT_EQ(m.observe_cycles(), 8u);
+  // The scan-out f6 is also the only PO: it is observed once.
+  EXPECT_EQ(m.observe(), std::vector<NodeId>{e.nl.find("f6")});
+}
+
+TEST(ScanModeModel, ObserveListsPosThenScanOuts) {
+  ExampleDesign e = paper_figure2();
+  const NodeId f6 = e.nl.find("f6");
+  const NodeId d6 = e.nl.find("d6");
+  e.nl.unmark_output(f6);
+  e.nl.mark_output(d6);
+  const Levelizer lv(e.nl);
+  const ScanModeModel m(lv, e.design);
+  EXPECT_EQ(m.observe(), (std::vector<NodeId>{d6, f6}));
 }
 
 TEST(ScanModeModel, TpiDesignsSatisfyInvariant) {

@@ -114,6 +114,26 @@ if [[ -n "$BUDGET_REFS" ]]; then
   exit 1
 fi
 
+# ScanModeModel owns how a test is applied: outside src/scan nothing in src
+# builds a ScanSequenceBuilder, only scan_mode_model.cpp spells the flush
+# and observe lengths, and the four retired knobs that overrode them stay
+# gone, so the pipeline and the exported program cannot drift apart.  The
+# "alternating_cycles" counter name is not a knob.
+APPLY_REFS=$(
+  {
+    grep -rnE 'ScanSequenceBuilder([ ]+[A-Za-z_]+[ ]*[;({=]|[({]|>)' src |
+      grep -v '^src/scan/'
+    grep -rnE 'frame[_]slack|observe[_]pos|alternating[_]cycles|(\.|->)observe[_]cycles([^(A-Za-z0-9_]|$)|observe[_]cycles = ' \
+        src tools | grep -v '"alternating[_]cycles"'
+    grep -rnE '2 \* [A-Za-z_.>()-]*(maxlen|max_chain_length\(\))_? \+ 8\b|(maxlen_?|max_chain_length\(\)) \+ 2\b' \
+        src tools | grep -v '^src/scan/scan_mode_model\.cpp:'
+  } || true)
+if [[ -n "$APPLY_REFS" ]]; then
+  echo "check.sh: test application decided outside ScanModeModel:"
+  echo "$APPLY_REFS"
+  exit 1
+fi
+
 if [[ "$TSAN_ONLY" == 0 ]]; then
   cmake -B build -S . "$@"
   cmake --build build -j

@@ -591,8 +591,8 @@ int cmd_diagnose(const Args& a) {
   const ScanModeModel model(lv, d);
   const Fault defect = find_fault(nl, a);
 
-  ScanSequenceBuilder sb(nl, d);
-  TestSequence seq = sb.alternating(2 * model.max_chain_length() + 8);
+  const ScanSequenceBuilder& sb = model.sequences();
+  TestSequence seq = sb.alternating(model.flush_cycles());
   std::mt19937_64 rng(7);
   for (int round = 0; round < 3; ++round) {
     std::vector<std::vector<Val>> marker(d.chains.size());
@@ -602,7 +602,7 @@ int cmd_diagnose(const Args& a) {
     }
     const TestSequence load = sb.load_state(marker);
     seq.insert(seq.end(), load.begin(), load.end());
-    for (std::size_t i = 0; i < model.max_chain_length() + 2; ++i) {
+    for (std::size_t i = 0; i < model.observe_cycles(); ++i) {
       seq.push_back(sb.base_vector(Val::Zero));
     }
   }
